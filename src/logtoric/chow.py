@@ -8,11 +8,19 @@ relation  sum_{rho: tau+rho a cone} <m, u_rho> [V(tau+rho)] = 0.
 Divisor classes move around through their support functions, normalized
 so the function of a ray divisor is -1 on its own ray and 0 on the
 others.
+
+Pullback and the two restrictions are ring maps fixed by where they send
+the ray divisors, so each is ``map_divisors`` applied to a ray -> divisor
+function.  That function depends only on the fans involved, never on the
+class: ``pullback_divisors``, ``star_quotient_divisors`` and
+``slice_divisors`` build it, and the complex builds it once per node
+face and once per refinement edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .cones import dot
 from .fans import (
@@ -22,6 +30,7 @@ from .fans import (
     is_complete,
     is_smooth,
     star_quotient,
+    subdivision_witness,
 )
 from .intlinalg import (
     FPAbelianGroup,
@@ -264,54 +273,74 @@ def support_function(fan: Fan, ray_index: int):
     return data
 
 
-def evaluate_support(fan: Fan, data, point):
-    for mc, m in data.items():
-        if fan.cone(mc).contains_point(point):
-            return dot(m, point)
-    raise ChowError(f"{point} is outside the fan support")
-
-
 # -- the four structure maps ----------------------------------------------------
 
 
-def pullback_subdivision(source: Fan, target: Fan, cls: ChowClass) -> ChowClass:
-    """Pullback along a subdivision source -> target.
-
-    Degree one: the coefficient of a source ray r in the pullback of the
-    target ray divisor rho is -psi_rho(r); higher degrees multiply.
-    """
-    if cls.fan != target:
-        raise ChowError("class does not live on the target")
-    _check_smooth_complete(source)
-    _check_smooth_complete(target)
-    if cls.q > source.rank:
-        return zero_class(source, source.rank)
-    if cls.q == 0:
-        gens, _, red = presentation_data(source, 0)
-        return ChowClass(source, 0, _reduce(list(cls.coords), red))
-    pb1 = {}
-
-    def pulled_divisor(rho):
-        if rho not in pb1:
-            data = support_function(target, rho)
-            pb1[rho] = tuple(
-                -evaluate_support(target, data, r) for r in source.rays
-            )
-        return pb1[rho]
-
-    gens, _, _ = presentation_data(target, cls.q)
-    acc = zero_class(source, cls.q)
+def map_divisors(cls: ChowClass, target: Fan, divisor_of) -> ChowClass:
+    """Image of ``cls`` under the ring map into CH(target) that sends the
+    ray divisor of ``rho`` to ``divisor_of(rho)`` (a ray-coefficient
+    vector on ``target``): each generator cone becomes the product of the
+    images of its rays."""
+    if cls.q > target.rank:
+        return zero_class(target, target.rank)
+    gens, _, _ = presentation_data(cls.fan, cls.q)
+    acc = zero_class(target, cls.q)
     for cone, c in zip(gens, cls.coords):
         if c == 0:
             continue
-        term = class_from_divisor_product(source, [pulled_divisor(r) for r in cone])
+        term = class_from_divisor_product(target, [divisor_of(r) for r in cone])
         acc = add(acc, scale(term, c))
     return acc
 
 
-def restrict_to_star_quotient(fan: Fan, tau, quotient: Fan, lift, cls: ChowClass) -> ChowClass:
-    """Restriction CH^q(X) -> CH^q(V(tau)) through Cartier data, against
-    an explicitly identified quotient fan.
+def pullback_divisors(source: Fan, target: Fan):
+    """Target ray -> its pulled-back divisor, along a subdivision
+    source -> target.  Each divisor is derived on first use and kept by
+    the returned function.
+
+    The coefficient of a source ray r in the pullback of the divisor of
+    rho is -psi_rho(r).  Each source ray is located once, in the target
+    maximal cone that the subdivision witness assigns to a source cone
+    through it; psi_rho is linear on that cone.
+    """
+    _check_smooth_complete(source)
+    _check_smooth_complete(target)
+    witness = subdivision_witness(source, target)
+    if witness is None:
+        raise ChowError("source does not subdivide the target")
+    home = {}
+    for mc, w in zip(source.maximal_cones, witness):
+        for k in mc:
+            home.setdefault(k, target.maximal_cones[w])
+    if len(home) != len(source.rays):
+        raise ChowError("a source ray lies in no maximal cone")
+
+    @cache
+    def divisor_of(rho):
+        data = support_function(target, rho)
+        return tuple(-dot(data[home[k]], u) for k, u in enumerate(source.rays))
+
+    return divisor_of
+
+
+def pullback_subdivision(
+    source: Fan, target: Fan, cls: ChowClass, divisor_of=None
+) -> ChowClass:
+    """Pullback along a subdivision source -> target.
+
+    ``divisor_of`` is ``pullback_divisors(source, target)``; callers that
+    pull back many classes along one edge derive it once.
+    """
+    if cls.fan != target:
+        raise ChowError("class does not live on the target")
+    if divisor_of is None:
+        divisor_of = pullback_divisors(source, target)
+    return map_divisors(cls, source, divisor_of)
+
+
+def star_quotient_divisors(fan: Fan, tau, quotient: Fan, lift):
+    """Ray of the fan -> restriction of its divisor to V(tau), derived on
+    first use.
 
     ``lift[quotient ray index]`` is a ray of the fan projecting onto that
     quotient ray.  The divisor's support function is first shifted by the
@@ -319,45 +348,39 @@ def restrict_to_star_quotient(fan: Fan, tau, quotient: Fan, lift, cls: ChowClass
     vanishes along tau and descends to the star; the coefficient of a
     quotient ray is then minus the descended value at the lift.
     """
-    if cls.fan != fan:
-        raise ChowError("class does not live on the fan")
-    tau = tuple(sorted(tau))
     _check_smooth_complete(quotient)
-    if cls.q > quotient.rank:
-        return zero_class(quotient, quotient.rank)
-    if cls.q == 0:
-        gens, _, red = presentation_data(quotient, 0)
-        return ChowClass(quotient, 0, _reduce(list(cls.coords), red))
+    tau = set(tau)
+    star = [mc for mc in fan.maximal_cones if tau <= set(mc)]
+    base_cone = star[0]
+    lifts = [lift[qi] for qi in range(len(quotient.rays))]
+    homes = [next(mc for mc in star if up in mc) for up in lifts]
 
-    base_cone = next(
-        mc for mc in fan.maximal_cones if set(tau) <= set(mc)
-    )
-
-    def restricted_divisor(rho):
+    @cache
+    def divisor_of(rho):
         data = support_function(fan, rho)
         m0 = data[base_cone]
-        coeffs = []
-        for qi in range(len(quotient.rays)):
-            up = lift[qi]
-            m = next(
-                data[mc]
-                for mc in fan.maximal_cones
-                if set(tau) <= set(mc) and up in mc
-            )
-            u = fan.rays[up]
-            coeffs.append(dot(m0, u) - dot(m, u))
-        return tuple(coeffs)
-
-    gens, _, _ = presentation_data(fan, cls.q)
-    acc = zero_class(quotient, cls.q)
-    for cone, c in zip(gens, cls.coords):
-        if c == 0:
-            continue
-        term = class_from_divisor_product(
-            quotient, [restricted_divisor(r) for r in cone]
+        return tuple(
+            dot(m0, fan.rays[up]) - dot(data[mc], fan.rays[up])
+            for up, mc in zip(lifts, homes)
         )
-        acc = add(acc, scale(term, c))
-    return acc
+
+    return divisor_of
+
+
+def restrict_to_star_quotient(
+    fan: Fan, tau, quotient: Fan, lift, cls: ChowClass, divisor_of=None
+) -> ChowClass:
+    """Restriction CH^q(X) -> CH^q(V(tau)) through Cartier data, against
+    an explicitly identified quotient fan.
+
+    ``divisor_of`` is ``star_quotient_divisors(fan, tau, quotient, lift)``;
+    callers that restrict many classes of one fan derive it once.
+    """
+    if cls.fan != fan:
+        raise ChowError("class does not live on the fan")
+    if divisor_of is None:
+        divisor_of = star_quotient_divisors(fan, tau, quotient, lift)
+    return map_divisors(cls, quotient, divisor_of)
 
 
 def restrict_star(fan: Fan, tau, cls: ChowClass) -> ChowClass:
@@ -368,44 +391,38 @@ def restrict_star(fan: Fan, tau, cls: ChowClass) -> ChowClass:
     return restrict_to_star_quotient(fan, tau, quotient, lift, cls)
 
 
-def restrict_slice(fan: Fan, coord: int, cls: ChowClass) -> ChowClass:
-    """Restriction to the hyperplane slice: a ray divisor restricts to its
-    own class when the ray lies in the hyperplane and to zero otherwise
-    (the support function of x_rho takes value -delta on rays)."""
+def slice_divisors(fan: Fan, coord: int, sliced: Fan):
+    """Ray of the fan -> restriction of its divisor to the hyperplane
+    slice: a ray divisor restricts to its own class when the ray lies in
+    the hyperplane and to zero otherwise (the support function of x_rho
+    takes value -delta on rays)."""
+    slice_index = {r: i for i, r in enumerate(sliced.rays)}
+    out = []
+    for u in fan.rays:
+        coeffs = [0] * len(sliced.rays)
+        dropped = u[:coord] + u[coord + 1 :]
+        if u[coord] == 0 and dropped in slice_index:
+            coeffs[slice_index[dropped]] = 1
+        out.append(tuple(coeffs))
+    return tuple(out).__getitem__
+
+
+def restrict_slice(fan: Fan, coord: int, cls: ChowClass, divisor_of=None) -> ChowClass:
+    """Restriction to the hyperplane slice.
+
+    ``divisor_of`` is ``slice_divisors(fan, coord, hyperplane_slice(fan,
+    coord))``; callers that restrict many classes of one fan derive it
+    once.
+    """
     if cls.fan != fan:
         raise ChowError("class does not live on the fan")
     sliced = hyperplane_slice(fan, coord)
     if not is_complete(sliced):
         raise ChowError("slice is not complete in its hyperplane")
     _check_smooth_complete(sliced)
-    if cls.q > sliced.rank:
-        return zero_class(sliced, sliced.rank)
-    if cls.q == 0:
-        gens, _, red = presentation_data(sliced, 0)
-        return ChowClass(sliced, 0, _reduce(list(cls.coords), red))
-
-    def drop(vec):
-        return tuple(x for i, x in enumerate(vec) if i != coord)
-
-    slice_index = {r: i for i, r in enumerate(sliced.rays)}
-
-    def restricted_divisor(rho):
-        coeffs = [0] * len(sliced.rays)
-        dropped = drop(fan.rays[rho])
-        if fan.rays[rho][coord] == 0 and dropped in slice_index:
-            coeffs[slice_index[dropped]] = 1
-        return tuple(coeffs)
-
-    gens, _, _ = presentation_data(fan, cls.q)
-    acc = zero_class(sliced, cls.q)
-    for cone, c in zip(gens, cls.coords):
-        if c == 0:
-            continue
-        term = class_from_divisor_product(
-            sliced, [restricted_divisor(r) for r in cone]
-        )
-        acc = add(acc, scale(term, c))
-    return acc
+    if divisor_of is None:
+        divisor_of = slice_divisors(fan, coord, sliced)
+    return map_divisors(cls, sliced, divisor_of)
 
 
 def external_insert(cls: ChowClass, position: int) -> ChowClass:

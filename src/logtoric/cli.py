@@ -34,6 +34,7 @@ from .fans import (
 )
 from .logpairs import LogPairError, is_smlsm, pair_from_json, pair_to_json, smlsmify
 from .monoids import MonoidError
+from .sbl import SblError, node_budget
 from .schemes import SchemeError, realize_scheme
 
 
@@ -204,7 +205,21 @@ def _keyed_to_json(keyed):
     return out
 
 
+def _check_logchow_args(args):
+    for flag in ("q", "r", "nmax", "depth", "search_depth"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise InputError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    if args.search_depth is not None and args.nmax == 0:
+        raise InputError("--search-depth needs --nmax >= 1 (it searches degree nmax - 1)")
+    try:
+        node_budget()
+    except SblError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def cmd_logchow(args) -> int:
+    _check_logchow_args(args)
     cx = build_complex(args.q, args.r, args.nmax, args.depth)
     hs = homology(cx)
     payload = {
@@ -323,6 +338,7 @@ def main(argv=None) -> int:
         LogPairError,
         MonoidError,
         ComplexError,
+        SblError,
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

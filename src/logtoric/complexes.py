@@ -6,6 +6,12 @@ the differential the alternating sum of the one-face maps.  Everything
 is exact integer linear algebra: colimits are sparse presentations,
 chain groups are kernels into quotients, and homology is a subquotient
 read off Smith normal form.
+
+The structure maps depend on a node or an edge, never on the class they
+map.  So the face data of a node (face fan, its index one degree down,
+the restricted ray divisors) is derived once per face index and kind,
+and the pulled-back ray divisors once per refinement edge; every
+generator of that node or edge is then mapped through them.
 """
 
 from __future__ import annotations
@@ -18,11 +24,14 @@ from .chow import (
     external_insert,
     make_class,
     presentation_data,
+    pullback_divisors,
     pullback_subdivision,
     restrict_slice,
     restrict_to_star_quotient,
+    slice_divisors,
+    star_quotient_divisors,
 )
-from .fans import Fan
+from .fans import hyperplane_slice
 from .intlinalg import FPAbelianGroup, IntMatrix, solve_integer
 from .sbl import CnrDiagram, CnrNode, enumerate_cnr, face_zero_data
 
@@ -92,13 +101,14 @@ def build_colimit(diagram: CnrDiagram, q: int) -> ColimitGroup:
                 }
             )
     for child, parent in diagram.refinement_edges():
-        pcones, _, _ = presentation_data(diagram.nodes[parent].fan, q)
-        ccones, _, _ = presentation_data(diagram.nodes[child].fan, q)
+        source = diagram.nodes[child].fan
+        target = diagram.nodes[parent].fan
+        divisor_of = pullback_divisors(source, target)
+        pcones, _, _ = presentation_data(target, q)
+        ccones, _, _ = presentation_data(source, q)
         for cone in pcones:
-            cls = make_class(diagram.nodes[parent].fan, q, {cone: 1})
-            pulled = pullback_subdivision(
-                diagram.nodes[child].fan, diagram.nodes[parent].fan, cls
-            )
+            cls = make_class(target, q, {cone: 1})
+            pulled = pullback_subdivision(source, target, cls, divisor_of)
             row = {gen_index[(parent, cone)]: 1}
             for ccone, c in zip(ccones, pulled.coords):
                 if c:
@@ -176,47 +186,66 @@ def _close_under_faces(diagrams):
             pos += 1
             for i in range(1, n + 1):
                 for kind in (0, 1):
-                    fan = _face_fan(node, i, kind)
+                    fan, _ = _face_map(node, i, kind)
                     if below.node_index(fan) is None:
-                        below.nodes.append(
+                        below.add_node(
                             CnrNode.make(n - 1, diag.r, fan, depth=node.depth)
                         )
     return diagrams
 
 
-def _face_fan(node: CnrNode, i: int, kind: int) -> Fan:
-    if kind == 0:
-        quotient, _, _ = face_zero_data(node.fan, node.n, node.r, i)
-        return quotient.canonical()
-    from .fans import hyperplane_slice
+def _face_map(node: CnrNode, i: int, kind: int):
+    """The face map of one node, derived once for all of its classes.
 
-    return hyperplane_slice(node.fan, i - 1).canonical()
+    Returns ``(canonical face fan, image)`` where ``image(cls)`` is the
+    image of a node class, rewritten over the canonical face fan."""
+    if kind == 0:
+        face, lift, ray = face_zero_data(node.fan, node.n, node.r, i)
+        divisor_of = star_quotient_divisors(node.fan, (ray,), face, lift)
+
+        def restrict(cls):
+            return restrict_to_star_quotient(
+                node.fan, (ray,), face, lift, cls, divisor_of
+            )
+
+    else:
+        face = hyperplane_slice(node.fan, i - 1)
+        divisor_of = slice_divisors(node.fan, i - 1, face)
+
+        def restrict(cls):
+            return restrict_slice(node.fan, i - 1, cls, divisor_of)
+
+    def image(cls):
+        return canonical_class(restrict(cls))[1]
+
+    return face.canonical(), image
 
 
 def _face_class(node: CnrNode, i: int, kind: int, cls: ChowClass):
     """Image of a class under the face map, on the canonical face fan."""
-    if kind == 0:
-        quotient, lift, ray = face_zero_data(node.fan, node.n, node.r, i)
-        out = restrict_to_star_quotient(node.fan, (ray,), quotient, lift, cls)
-    else:
-        out = restrict_slice(node.fan, i - 1, cls)
-    return canonical_class(out)
+    face_fan, image = _face_map(node, i, kind)
+    return face_fan, image(cls)
 
 
 def _face_matrix(colim_n: ColimitGroup, colim_prev: ColimitGroup, i: int, kind: int):
-    """Core-coordinate image of each ambient generator of colim_n, plus
-    the descent check on every relation."""
+    """Core-coordinate image of each ambient generator of colim_n.
+
+    ``colim_n.gens`` is grouped by node, so each node's face map is
+    derived once and dropped when the next node starts."""
     diagram = colim_n.diagram
     prev = colim_prev.diagram
     images = []
+    current = None
     for node_idx, cone in colim_n.gens:
         node = diagram.nodes[node_idx]
+        if node_idx != current:
+            current = node_idx
+            face_fan, image = _face_map(node, i, kind)
+            target_idx = prev.node_index(face_fan)
+            if target_idx is None:
+                raise ComplexError("face image missing from the lower diagram")
         cls = make_class(node.fan, colim_n.q, {cone: 1})
-        face_fan, out = _face_class(node, i, kind, cls)
-        target_idx = prev.node_index(face_fan)
-        if target_idx is None:
-            raise ComplexError("face image missing from the lower diagram")
-        images.append(colim_prev.core_of_class(target_idx, out))
+        images.append(colim_prev.core_of_class(target_idx, image(cls)))
     return images
 
 

@@ -108,9 +108,8 @@ def extreme_description(ineqs, ambient):
 @lru_cache(maxsize=None)
 def _dual_description(rays, ambient):
     """(lines, rays) of the dual cone ``{w : w.r >= 0 for r in rays}``."""
-    return tuple(
-        tuple(v) for v in extreme_description(list(rays), ambient)[0]
-    ), tuple(tuple(v) for v in extreme_description(list(rays), ambient)[1])
+    lines, drays = extreme_description(list(rays), ambient)
+    return tuple(tuple(v) for v in lines), tuple(tuple(v) for v in drays)
 
 
 @lru_cache(maxsize=None)

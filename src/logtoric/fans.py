@@ -861,10 +861,6 @@ def standard_fan(name: str, n: int = 0) -> Fan:
     raise FanError(f"unknown standard fan {name!r}")
 
 
-def pn_fan(n):
-    return standard_fan("P^n", n)
-
-
 def _ccw_key(ray):
     """Sort key for counterclockwise order in the plane, exactly."""
     x, y = ray

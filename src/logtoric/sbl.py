@@ -17,10 +17,11 @@ in two adjacent cube coordinates.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fans import (
     Fan,
+    _unit,
     hyperplane_slice,
     insert_p1_coordinate,
     is_smooth,
@@ -45,14 +46,17 @@ DEFAULT_NODE_BUDGET = 600
 
 
 def node_budget() -> int:
-    try:
-        return int(os.environ.get(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET))
-    except ValueError:
+    """The node budget from the environment; a value that is not an
+    integer of at least 1 is an ``SblError``."""
+    raw = os.environ.get(NODE_BUDGET_ENV)
+    if raw is None:
         return DEFAULT_NODE_BUDGET
-
-
-def _unit(rank, i):
-    return tuple(1 if j == i else 0 for j in range(rank))
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise SblError(f"{NODE_BUDGET_ENV} must be an integer >= 1, got {raw!r}")
 
 
 def cnr_root(n: int, r: int) -> Fan:
@@ -116,13 +120,18 @@ class CnrDiagram:
     parent_edges: set  # (child_index, parent_index) from enumeration
     truncated: bool = False
     explored: int = 0
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {node.fan: i for i, node in enumerate(self.nodes)}
 
     def node_index(self, fan: Fan):
-        key = fan.canonical()
-        for i, node in enumerate(self.nodes):
-            if node.fan == key:
-                return i
-        return None
+        return self._index.get(fan.canonical())
+
+    def add_node(self, node: CnrNode):
+        """Append a node (its fan canonical and new to the diagram)."""
+        self._index[node.fan] = len(self.nodes)
+        self.nodes.append(node)
 
     def refinement_edges(self):
         """(i, j) pairs with node i refining node j, as a generating set

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from logtoric.cli import main
 from logtoric.fans import fan_to_json, standard_fan
@@ -160,3 +163,74 @@ def test_logchow_dump_diagrams(capsys):
     data = json.loads(out)
     assert len(data["diagrams"]) == 2
     assert data["diagrams"][1]["nodes"][0]["fan"]["rank"] == 1
+
+
+def _logchow_golden_rows():
+    from pathlib import Path
+
+    path = Path(__file__).parent / "golden" / "logchow_sha256.json"
+    return json.loads(path.read_text())["rows"]
+
+
+@pytest.mark.parametrize(
+    "row", _logchow_golden_rows(), ids=lambda row: " ".join(row["argv"][1:])
+)
+def test_logchow_bytes_golden(capsys, row):
+    code, out = run(capsys, *row["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == row["sha256"]
+
+
+@pytest.mark.parametrize(
+    "flag", ["--q", "--r", "--nmax", "--depth", "--search-depth"]
+)
+def test_logchow_rejects_negative(capsys, flag):
+    argv = {"--q": "1", "--r": "0", "--nmax": "1", "--depth": "0"}
+    argv[flag] = "-1"
+    code = main(["logchow", *(x for kv in argv.items() for x in kv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:")
+    assert flag in err
+
+
+def test_logchow_rejects_search_without_degree(capsys):
+    code = main(
+        ["logchow", "--q", "1", "--r", "0", "--nmax", "0", "--depth", "0",
+         "--search-depth", "1"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_logchow_rejects_bad_node_budget(capsys, monkeypatch, value):
+    monkeypatch.setenv("LOGTORIC_NODE_BUDGET", value)
+    code = main(["logchow", "--q", "0", "--r", "0", "--nmax", "1", "--depth", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "LOGTORIC_NODE_BUDGET" in err
+
+
+def test_logchow_honours_node_budget(capsys, monkeypatch):
+    monkeypatch.setenv("LOGTORIC_NODE_BUDGET", "1")
+    code, out = run(capsys, "logchow", "--q", "1", "--r", "0", "--nmax", "2",
+                    "--depth", "1")
+    assert code == 0
+    assert json.loads(out)["truncated"] is True
+
+
+def test_sbl_error_is_a_domain_error(capsys, monkeypatch):
+    import logtoric.cli as cli
+    from logtoric.sbl import SblError
+
+    def fail(*args, **kwargs):
+        raise SblError("node fans must be smooth")
+
+    monkeypatch.setattr(cli, "build_complex", fail)
+    code = main(["logchow", "--q", "1", "--r", "0", "--nmax", "1", "--depth", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: SblError:")

@@ -139,3 +139,130 @@ def test_golden_degree2_chain_rank_depth1():
     assert [cx.chain_group(2).rank, list(cx.chain_group(2).torsion)] == golden[
         "chain_rank_degree2_depth1"
     ]
+
+
+# -- node- and edge-scoped maps against per-class oracles -----------------------
+
+
+def _reference_pullback(source, target, cls):
+    """Pullback with every source ray located by scanning the target's
+    maximal cones, independent of the subdivision witness."""
+    from logtoric.chow import (
+        add,
+        class_from_divisor_product,
+        presentation_data,
+        scale,
+        support_function,
+        zero_class,
+    )
+    from logtoric.cones import dot
+
+    def pulled(rho):
+        data = support_function(target, rho)
+        coeffs = []
+        for u in source.rays:
+            home = next(
+                mc for mc in target.maximal_cones
+                if target.cone(mc).contains_point(u)
+            )
+            coeffs.append(-dot(data[home], u))
+        return tuple(coeffs)
+
+    gens, _, _ = presentation_data(target, cls.q)
+    acc = zero_class(source, cls.q)
+    for cone, c in zip(gens, cls.coords):
+        if c:
+            term = class_from_divisor_product(source, [pulled(r) for r in cone])
+            acc = add(acc, scale(term, c))
+    return acc
+
+
+def test_edge_pullbacks_match_point_location_oracle():
+    from logtoric.chow import (
+        make_class,
+        presentation_data,
+        pullback_divisors,
+        pullback_subdivision,
+    )
+
+    diag = enumerate_cnr(2, 0, 2)
+    edges = diag.refinement_edges()
+    assert edges
+    checked = 0
+    for child, parent in edges:
+        source = diag.nodes[child].fan
+        target = diag.nodes[parent].fan
+        divisor_of = pullback_divisors(source, target)
+        for q in range(target.rank + 1):
+            for cone in presentation_data(target, q)[0]:
+                cls = make_class(target, q, {cone: 1})
+                got = pullback_subdivision(source, target, cls, divisor_of)
+                assert got == _reference_pullback(source, target, cls)
+                checked += 1
+    assert checked > 100
+
+
+def _restrict_star_on(quotient, lift, fan, ray, cls):
+    """``restrict_star`` moved onto the face quotient through the ray
+    correspondence (the two quotient lattices may differ by a basis
+    change)."""
+    from logtoric.chow import make_class, presentation_data, restrict_star
+    from logtoric.fans import star_quotient
+
+    other, corr = star_quotient(fan, (ray,))
+    out = restrict_star(fan, (ray,), cls)
+    to_face = {corr[up]: k for k, up in lift.items()}
+    gens, _, _ = presentation_data(other, out.q)
+    return make_class(
+        quotient,
+        out.q,
+        {
+            tuple(sorted(to_face[j] for j in cone)): c
+            for cone, c in zip(gens, out.coords)
+            if c
+        },
+    )
+
+
+@pytest.mark.parametrize("n, r, depth", [(2, 0, 1), (2, 1, 1)])
+def test_node_face_maps_match_per_class_restrictions(n, r, depth):
+    from logtoric.chow import make_class, presentation_data, restrict_slice
+    from logtoric.complexes import _face_map, canonical_class
+    from logtoric.sbl import face_zero_data
+
+    diag = enumerate_cnr(n, r, depth)
+    checked = 0
+    for node in diag.nodes:
+        for i in range(1, n + 1):
+            quotient, lift, ray = face_zero_data(node.fan, n, r, i)
+            zero_fan, zero_image = _face_map(node, i, 0)
+            one_fan, one_image = _face_map(node, i, 1)
+            for q in range(node.fan.rank + 1):
+                for cone in presentation_data(node.fan, q)[0]:
+                    cls = make_class(node.fan, q, {cone: 1})
+                    want0 = _restrict_star_on(quotient, lift, node.fan, ray, cls)
+                    assert (zero_fan, zero_image(cls)) == canonical_class(want0)
+                    want1 = restrict_slice(node.fan, i - 1, cls)
+                    assert (one_fan, one_image(cls)) == canonical_class(want1)
+                    checked += 1
+    assert checked > 50
+
+
+def test_build_complex_derives_face_data_once_per_node(monkeypatch):
+    import logtoric.complexes as complexes
+    from logtoric.sbl import face_zero_data
+
+    calls = []
+
+    def counted(fan, n, r, i):
+        calls.append((fan, i))
+        return face_zero_data(fan, n, r, i)
+
+    monkeypatch.setattr(complexes, "face_zero_data", counted)
+    cx = build_complex(1, 0, 2, 1)
+    distinct = sum(
+        len(diag.nodes) * n for n, diag in enumerate(cx.diagrams)
+    )
+    assert distinct > 0
+    assert len(set(calls)) == distinct
+    assert len(calls) <= 2 * distinct
