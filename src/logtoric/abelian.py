@@ -5,6 +5,10 @@ transition relation per generator and edge; almost every relation has a
 ±1 pivot, so the presentation collapses by substitution to a small
 dense core where Smith normal form is cheap.  The eliminations are kept
 so arbitrary vectors can be pushed down to core coordinates exactly.
+
+Every solve modulo a relation lattice, here and in the cubical complex,
+goes through ``intlinalg.LatticeSolver``: one Hermite normal form of the
+stacked vectors, then back-substitution per right-hand side.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from __future__ import annotations
 from .intlinalg import (
     FPAbelianGroup,
     IntMatrix,
+    LatticeSolver,
     hermite_normal_form,
-    solve_integer,
+    hnf_reduce,
+    kernel_basis,
 )
 
 
@@ -113,15 +119,7 @@ class Presentation:
         return tuple(out)
 
     def normal_form(self, vec):
-        coords = list(self.to_core(vec))
-        for row in self._reduction:
-            lead = next(j for j, x in enumerate(row) if x != 0)
-            if coords[lead]:
-                k = coords[lead] // row[lead]
-                if k:
-                    for j in range(lead, len(coords)):
-                        coords[j] -= k * row[j]
-        return tuple(coords)
+        return hnf_reduce(self.to_core(vec), self._reduction)
 
     def is_zero(self, vec) -> bool:
         return not any(self.normal_form(vec))
@@ -141,40 +139,26 @@ class Presentation:
     def solve_combination(self, vectors, target):
         """Integer coefficients x with sum x_i vectors_i = target in this
         quotient, or None.  Vectors and target may be sparse dicts."""
-        cols = [list(self.to_core(v)) for v in vectors]
-        for row in self._reduction:
-            cols.append(list(row))
-        t = self.to_core(target)
-        if not cols:
-            return None if any(t) else ()
-        m = IntMatrix.from_rows(cols).transpose()
-        sol = solve_integer(m, t)
-        if sol is None:
-            return None
-        return tuple(sol[: len(vectors)])
+        cols = [self.to_core(v) for v in vectors]
+        return LatticeSolver(cols, self._reduction).solve(self.to_core(target))
 
 
 def kernel_mod_lattice(matrix_rows, lattice_rows, ncols):
-    """Basis of ``{v in Z^ncols : M v lies in the lattice}``.
+    """Basis of ``{v in Z^ncols : M v lies in the lattice}``, in Hermite
+    normal form.
 
     ``matrix_rows`` are the rows of M; the lattice is spanned by
     ``lattice_rows`` (in the target).  Used for chain groups (kernels
     into quotient groups).
     """
-    from .intlinalg import kernel_basis
-
-    nrows = len(matrix_rows)
-    if nrows == 0:
-        return [
-            tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)
-        ]
-    aug = []
-    for i in range(nrows):
-        row = list(matrix_rows[i]) + [-l[i] for l in lattice_rows]
-        aug.append(row)
-    ker = kernel_basis(IntMatrix.from_rows(aug))
-    # project away the lattice coefficients, keep unique v-parts spanning
-    vparts = [k[:ncols] for k in ker]
+    if not matrix_rows:
+        return list(IntMatrix.identity(ncols).entries)
+    # kernel of [M | -lattice generators]; its M-parts span the kernel
+    aug = [
+        tuple(row) + tuple(-l[i] for l in lattice_rows)
+        for i, row in enumerate(matrix_rows)
+    ]
+    vparts = [k[:ncols] for k in kernel_basis(IntMatrix.from_rows(aug))]
     if not vparts:
         return []
     h, _ = hermite_normal_form(IntMatrix.from_rows(vparts))

@@ -36,6 +36,7 @@ from .intlinalg import (
     FPAbelianGroup,
     IntMatrix,
     hermite_normal_form,
+    hnf_reduce,
     kernel_basis,
     solve_integer,
 )
@@ -111,18 +112,6 @@ def chow_presentation(fan: Fan, q: int) -> FPAbelianGroup:
     return FPAbelianGroup(len(gens), rel)
 
 
-def _reduce(coords, reduction):
-    coords = list(coords)
-    for row in reduction:
-        lead = next(j for j, x in enumerate(row) if x != 0)
-        if coords[lead] != 0:
-            c = coords[lead] // row[lead]
-            if c:
-                for j in range(lead, len(coords)):
-                    coords[j] -= c * row[j]
-    return tuple(coords)
-
-
 @dataclass(frozen=True)
 class ChowClass:
     fan: Fan
@@ -144,7 +133,7 @@ def make_class(fan: Fan, q: int, coeffs) -> ChowClass:
         if cone not in pos:
             raise ChowError(f"{cone} is not a {q}-dimensional cone of the fan")
         vec[pos[cone]] += int(coeff)
-    return ChowClass(fan, q, _reduce(vec, reduction))
+    return ChowClass(fan, q, hnf_reduce(vec, reduction))
 
 
 def zero_class(fan: Fan, q: int) -> ChowClass:
@@ -169,13 +158,13 @@ def add(a: ChowClass, b: ChowClass) -> ChowClass:
         raise ChowError("cannot add classes of different type")
     _, _, reduction = presentation_data(a.fan, a.q)
     return ChowClass(
-        a.fan, a.q, _reduce([x + y for x, y in zip(a.coords, b.coords)], reduction)
+        a.fan, a.q, hnf_reduce([x + y for x, y in zip(a.coords, b.coords)], reduction)
     )
 
 
 def scale(a: ChowClass, c: int) -> ChowClass:
     _, _, reduction = presentation_data(a.fan, a.q)
-    return ChowClass(a.fan, a.q, _reduce([c * x for x in a.coords], reduction))
+    return ChowClass(a.fan, a.q, hnf_reduce([c * x for x in a.coords], reduction))
 
 
 _REWRITE_CACHE: dict = {}
@@ -237,7 +226,7 @@ def multiply_by_divisor(cls: ChowClass, divisor) -> ChowClass:
         for rho, d in enumerate(divisor):
             if d:
                 add_term(cone, rho, c * d)
-    return ChowClass(fan, cls.q + 1, _reduce(acc, out_reduction))
+    return ChowClass(fan, cls.q + 1, hnf_reduce(acc, out_reduction))
 
 
 def class_from_divisor_product(fan: Fan, divisors) -> ChowClass:
@@ -263,6 +252,10 @@ def support_function(fan: Fan, ray_index: int):
     _check_smooth_complete(fan)
     data = {}
     for mc in fan.maximal_cones:
+        if ray_index not in mc:
+            # zero right-hand side of a square unimodular system
+            data[mc] = (0,) * fan.rank
+            continue
         rows = [fan.rays[i] for i in mc]
         target = tuple(-1 if i == ray_index else 0 for i in mc)
         m = solve_integer(IntMatrix.from_rows(rows), target)

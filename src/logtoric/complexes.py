@@ -32,7 +32,7 @@ from .chow import (
     star_quotient_divisors,
 )
 from .fans import hyperplane_slice
-from .intlinalg import FPAbelianGroup, IntMatrix, solve_integer
+from .intlinalg import FPAbelianGroup, IntMatrix, LatticeSolver
 from .sbl import CnrDiagram, CnrNode, enumerate_cnr, face_zero_data
 
 
@@ -160,18 +160,16 @@ class NormalizedComplex:
     def chain_rank(self, n: int) -> int:
         return self.chain_group(n).rank
 
+    def sparse_of_chain(self, n: int, coeffs):
+        """Chain-coordinate vector -> sparse ambient vector, supported on
+        the core columns of the degree-n colimit."""
+        core_cols = self.colimits[n].presentation.core_cols
+        core = _apply(self.chain_bases[n], coeffs, len(core_cols))
+        return {core_cols[k]: v for k, v in enumerate(core) if v}
+
     def ambient_of_chain(self, n: int, coeffs):
         """Chain-coordinate vector -> keyed ambient representation."""
-        colim = self.colimits[n]
-        core = [0] * len(colim.presentation.core_cols)
-        for j, c in enumerate(coeffs):
-            if c:
-                for k, v in enumerate(self.chain_bases[n][j]):
-                    core[k] += c * v
-        vec = {
-            colim.presentation.core_cols[k]: v for k, v in enumerate(core) if v
-        }
-        return colim.keyed_of_ambient(vec)
+        return self.colimits[n].keyed_of_ambient(self.sparse_of_chain(n, coeffs))
 
 
 def _close_under_faces(diagrams):
@@ -333,16 +331,15 @@ def build_complex(
             lattice = [tuple(l + [0] * (width - len(l))) for l in lattice]
         basis = kernel_mod_lattice(stacked, lattice, core_n)
         # own relation lattice expressed in the kernel basis
-        own = colimits[n].presentation.relation_lattice_rows()
         rel_rows = []
         if basis:
-            bmat = IntMatrix.from_rows(basis).transpose()
-            for l in own:
-                sol = solve_integer(bmat, l)
+            solver = LatticeSolver(basis)
+            for l in colimits[n].presentation.relation_lattice_rows():
+                sol = solver.solve(l)
                 if sol is None:
                     raise ComplexError("relation lattice escapes the chain kernel")
                 if any(sol):
-                    rel_rows.append(tuple(sol))
+                    rel_rows.append(sol)
         chain_bases.append([tuple(b) for b in basis])
         chain_relations.append(rel_rows)
 
@@ -352,21 +349,23 @@ def build_complex(
         core_n = len(colimits[n].presentation.core_cols)
         core_prev = len(colimits[n - 1].presentation.core_cols)
         basis_prev = chain_bases[n - 1]
-        bmat_prev = (
-            IntMatrix.from_rows(basis_prev).transpose() if basis_prev else None
-        )
         lat_prev = colimits[n - 1].presentation.relation_lattice_rows()
+        faces = [one_face[(n, i)] for i in range(1, n + 1)]
+        d_core = [  # sum_i (-1)^i (one-face map i), on each core generator
+            [
+                sum((-1) ** i * f[j][k] for i, f in enumerate(faces, 1))
+                for k in range(core_prev)
+            ]
+            for j in range(core_n)
+        ]
+        # an image is a chain of degree n - 1 modulo the relation lattice
+        solver = LatticeSolver(basis_prev, lat_prev)
         cols = []
         for b in chain_bases[n]:
-            image = [0] * core_prev
-            for i in range(1, n + 1):
-                sign = -1 if i % 2 else 1  # (-1)^i
-                block = one_face[(n, i)]
-                for j in range(core_n):
-                    if b[j]:
-                        for k in range(core_prev):
-                            image[k] += sign * b[j] * block[j][k]
-            cols.append(_express_in_chain(image, bmat_prev, lat_prev, n - 1))
+            sol = solver.solve(_apply(d_core, b, core_prev))
+            if sol is None:
+                raise ComplexError("differential image escapes the chain group")
+            cols.append(sol)
         differentials[n] = cols
 
     cx = NormalizedComplex(
@@ -385,84 +384,54 @@ def build_complex(
     return cx
 
 
-def _express_in_chain(image, bmat_prev, lat_prev, n_prev):
-    """Solve image = basis combination modulo the relation lattice."""
-    if bmat_prev is None:
-        if any(image):
-            raise ComplexError("differential image escapes the chain group")
-        return ()
-    stack_rows = list(bmat_prev.entries)
-    width = bmat_prev.cols
-    full = []
-    for r_i, row in enumerate(stack_rows):
-        extra = [l[r_i] for l in lat_prev]
-        full.append(list(row) + extra)
-    m = IntMatrix.from_rows(full)
-    sol = solve_integer(m, image)
-    if sol is None:
-        raise ComplexError("differential image escapes the chain group")
-    return tuple(sol[:width])
-
-
 def _check_square_zero(cx: NormalizedComplex):
     for n in range(2, cx.n_max + 1):
-        cols_n = cx.differentials[n]
-        cols_prev = cx.differentials[n - 1]
-        basis_prev2 = cx.chain_bases[n - 2]
         pres = cx.colimits[n - 2].presentation
-        for col in cols_n:
-            composite = [0] * (len(basis_prev2[0]) if basis_prev2 else 0)
-            acc = [0] * len(cx.chain_bases[n - 1])
-            for j, c in enumerate(col):
-                if c:
-                    for k, v in enumerate(cols_prev[j]):
-                        acc[k] += c * v
-            core = [0] * len(pres.core_cols)
-            for k, c in enumerate(acc):
-                if c:
-                    for t, v in enumerate(basis_prev2[k]):
-                        core[t] += c * v
-            if not pres.is_zero(
-                {pres.core_cols[t]: v for t, v in enumerate(core) if v}
-            ):
+        for col in cx.differentials[n]:
+            dd = _apply(cx.differentials[n - 1], col, len(cx.chain_bases[n - 2]))
+            if not pres.is_zero(cx.sparse_of_chain(n - 2, dd)):
                 raise ComplexError("differential does not square to zero")
+
+
+def _apply(columns, coeffs, dim):
+    """sum_j coeffs[j] * columns[j], a vector of length ``dim``."""
+    out = [0] * dim
+    for c, col in zip(coeffs, columns):
+        if c:
+            for k, v in enumerate(col):
+                out[k] += c * v
+    return out
+
+
+def _cycles(cx: NormalizedComplex, n: int):
+    """Basis of the cycles ker d_n, in chain coordinates of degree n."""
+    gens_n = len(cx.chain_bases[n])
+    if n == 0 or gens_n == 0:
+        return list(IntMatrix.identity(gens_n).entries)
+    cols = cx.differentials[n]
+    rows = [tuple(col[k] for col in cols) for k in range(len(cx.chain_bases[n - 1]))]
+    return kernel_mod_lattice(rows, cx.chain_relations[n - 1], gens_n)
 
 
 def homology(cx: NormalizedComplex):
     """H_n = ker d_n / im d_{n+1} for n = 0..n_max, via Smith normal form."""
     out = []
     for n in range(cx.n_max + 1):
-        gens_n = len(cx.chain_bases[n])
-        # kernel of d_n into the quotient chain group below
-        if n == 0 or gens_n == 0:
-            kernel = [
-                tuple(1 if j == i else 0 for j in range(gens_n))
-                for i in range(gens_n)
-            ]
-        else:
-            cols = cx.differentials[n]
-            prev_rel = cx.chain_relations[n - 1]
-            prev_dim = len(cx.chain_bases[n - 1])
-            rows = [
-                tuple(cols[j][k] for j in range(gens_n)) for k in range(prev_dim)
-            ]
-            lattice = [tuple(l) for l in prev_rel]
-            kernel = kernel_mod_lattice(rows, lattice, gens_n)
-        relations = [list(r) for r in cx.chain_relations[n]]
-        if n + 1 <= cx.n_max:
-            for col in cx.differentials[n + 1]:
-                relations.append(list(col))
+        kernel = _cycles(cx, n)
         if not kernel:
             out.append(FPAbelianGroup(0, IntMatrix.zero(0, 0)))
             continue
-        kmat = IntMatrix.from_rows(kernel).transpose()
+        relations = list(cx.chain_relations[n])
+        if n + 1 <= cx.n_max:
+            relations.extend(cx.differentials[n + 1])
+        solver = LatticeSolver(kernel)
         rel_in_kernel = []
         for rel in relations:
-            sol = solve_integer(kmat, tuple(rel))
+            sol = solver.solve(rel)
             if sol is None:
                 raise ComplexError("boundary escapes the cycle lattice")
             if any(sol):
-                rel_in_kernel.append(tuple(sol))
+                rel_in_kernel.append(sol)
         out.append(
             FPAbelianGroup(
                 len(kernel),
@@ -476,20 +445,7 @@ def homology(cx: NormalizedComplex):
 
 def homology_generators(cx: NormalizedComplex, n: int):
     """Cycle representatives spanning H_n, as chain-coordinate vectors."""
-    gens_n = len(cx.chain_bases[n])
-    if gens_n == 0:
-        return []
-    if n == 0:
-        kernel = [
-            tuple(1 if j == i else 0 for j in range(gens_n)) for i in range(gens_n)
-        ]
-    else:
-        cols = cx.differentials[n]
-        prev_rel = cx.chain_relations[n - 1]
-        prev_dim = len(cx.chain_bases[n - 1])
-        rows = [tuple(cols[j][k] for j in range(gens_n)) for k in range(prev_dim)]
-        kernel = kernel_mod_lattice(rows, [tuple(l) for l in prev_rel], gens_n)
-    return kernel
+    return _cycles(cx, n)
 
 
 def eventual_boundary_search(q, r, n, cycle_keyed, start_depth, max_depth, budget=None):
@@ -515,48 +471,23 @@ def eventual_boundary_search(q, r, n, cycle_keyed, start_depth, max_depth, budge
             {"depth": d, "nodes": [len(diag.nodes) for diag in cx.diagrams],
              "truncated": cx.truncated}
         )
-        colim_n = cx.colimits[n]
-        target = colim_n.presentation.to_core(
-            colim_n.sparse_of_keyed(cycle_keyed)
-        )
-        # solve d(w) = target over the chain basis of degree n+1
-        basis_up = cx.chain_bases[n + 1]
-        if not basis_up:
+        pres = cx.colimits[n].presentation
+        cycle = cx.colimits[n].sparse_of_keyed(cycle_keyed)
+        # solve d(w) = cycle over the chain basis of degree n+1
+        if not cx.chain_bases[n + 1]:
             continue
         cols = cx.differentials[n + 1]
-        basis_n = cx.chain_bases[n]
-        vectors = []
-        for col in cols:
-            core = [0] * len(colim_n.presentation.core_cols)
-            for k, c in enumerate(col):
-                if c:
-                    for t, v in enumerate(basis_n[k]):
-                        core[t] += c * v
-            vectors.append(
-                {colim_n.presentation.core_cols[t]: v for t, v in enumerate(core) if v}
-            )
-        sol = colim_n.presentation.solve_combination(
-            vectors,
-            {colim_n.presentation.core_cols[t]: v for t, v in enumerate(target) if v},
-        )
+        vectors = [cx.sparse_of_chain(n, col) for col in cols]
+        sol = pres.solve_combination(vectors, cycle)
         if sol is None:
             continue
-        witness_keyed = cx.ambient_of_chain(n + 1, sol)
-        # exact verification: d(witness) - cycle is zero in the colimit
-        check = [0] * len(colim_n.presentation.core_cols)
-        for j, c in enumerate(sol):
-            if c:
-                for key, v in vectors[j].items():
-                    check[colim_n.presentation.core_cols.index(key)] += c * v
-        for t, v in enumerate(target):
-            check[t] -= v
-        if not colim_n.presentation.is_zero(
-            {colim_n.presentation.core_cols[t]: v for t, v in enumerate(check) if v}
-        ):
+        # exact verification: d(witness) and the cycle agree in the colimit
+        boundary = _apply(cols, sol, len(cx.chain_bases[n]))
+        if pres.normal_form(cx.sparse_of_chain(n, boundary)) != pres.normal_form(cycle):
             raise ComplexError("witness verification failed")
         return {
             "found": True,
-            "witness": witness_keyed,
+            "witness": cx.ambient_of_chain(n + 1, sol),
             "depth": d,
             "explored": explored,
         }

@@ -49,7 +49,9 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else ())
+        if not self.entries:
+            return IntMatrix(self.cols, 0, ((),) * self.cols)
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -297,60 +299,86 @@ def rank(m: IntMatrix) -> int:
     return sum(1 for r in h.entries if any(x != 0 for x in r))
 
 
+class LatticeSolver:
+    """Solve ``sum_j x_j columns[j] = target`` modulo the lattice spanned by
+    ``lattice``, for many targets.
+
+    The Hermite normal form of the stacked vectors (columns first, lattice
+    generators after) is computed once; each ``solve`` is back-substitution
+    on its echelon rows.  ``H = U @ stacked``, so a combination of the
+    rows of ``H`` pulls back through ``U`` to coefficients on the stacked
+    vectors, of which the first ``len(columns)`` are returned.
+    """
+
+    def __init__(self, columns, lattice=()):
+        self._ncols = len(columns)
+        h, u = hermite_normal_form(IntMatrix.from_rows(list(columns) + list(lattice)))
+        self._pivots = []  # (lead, echelon row, U row cut to the columns)
+        self._kernel = []
+        for row, urow in zip(h.entries, u.entries):
+            lead = next((j for j, x in enumerate(row) if x != 0), None)
+            if lead is None:
+                self._kernel.append(urow)
+            else:
+                self._pivots.append((lead, row, urow[: self._ncols]))
+
+    def solve(self, target):
+        """Coefficients on the columns, or None if the target is no
+        combination of them modulo the lattice."""
+        residue = list(target)
+        x = [0] * self._ncols
+        for lead, row, urow in self._pivots:
+            c, rem = divmod(residue[lead], row[lead])
+            if rem:
+                return None
+            if c:
+                for j in range(lead, len(residue)):
+                    residue[j] -= c * row[j]
+                for j, v in enumerate(urow):
+                    x[j] += c * v
+        if any(residue):
+            return None
+        return tuple(x)
+
+    def kernel(self):
+        """Rows spanning the integer relations among the stacked vectors
+        (coefficients on the columns, then on the lattice generators)."""
+        return list(self._kernel)
+
+
 def kernel_basis(m: IntMatrix):
     """Rows spanning the integer kernel ``{x : m @ x = 0}``.
 
     The returned lattice is saturated (it is the full kernel of the map,
     not an index-d sublattice).
     """
-    h, u = hermite_normal_form(m.transpose())
-    zero_rows = [i for i in range(h.rows) if all(x == 0 for x in h.entries[i])]
-    return [u.row(i) for i in zero_rows]
+    return LatticeSolver(m.transpose().entries).kernel()
 
 
 def solve_integer(m: IntMatrix, target):
-    """One integer solution ``x`` of ``m @ x = target``, or None.
-
-    Works by column reduction: HNF of the transpose tracks the column
-    operations, and back-substitution on the echelon rows decides
-    divisibility.
-    """
-    h, u = hermite_normal_form(m.transpose())
-    # rows of h are the reduced columns of m: m @ x = target has a solution
-    # iff target is an integer combination of h's rows; then pull back by u.
-    target = list(target)
+    """One integer solution ``x`` of ``m @ x = target``, or None."""
     if len(target) != m.rows:
         raise ValueError("shape mismatch")
-    coeffs = [0] * h.rows
-    residue = list(target)
-    for i in range(h.rows):
-        row = h.entries[i]
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            continue
-        if residue[lead] % row[lead] != 0:
-            return None
-        c = residue[lead] // row[lead]
-        coeffs[i] = c
-        for j in range(m.rows):
-            residue[j] -= c * row[j]
-    if any(x != 0 for x in residue):
-        return None
-    # x = u^T @ coeffs
-    x = [0] * m.cols
-    for i, c in enumerate(coeffs):
-        if c:
-            for j in range(m.cols):
-                x[j] += c * u.entries[i][j]
-    return tuple(x)
+    return LatticeSolver(m.transpose().entries).solve(target)
+
+
+def hnf_reduce(coords, reduction):
+    """Canonical representative of ``coords`` modulo the lattice whose
+    Hermite normal form has the nonzero rows ``reduction``."""
+    coords = list(coords)
+    for row in reduction:
+        lead = next(j for j, x in enumerate(row) if x != 0)
+        if coords[lead] != 0:
+            c = coords[lead] // row[lead]
+            if c:
+                for j in range(lead, len(coords)):
+                    coords[j] -= c * row[j]
+    return tuple(coords)
 
 
 def lattice_member(basis_rows, vec) -> bool:
     """Is ``vec`` in the integer row span of ``basis_rows``?"""
-    if not basis_rows:
-        return all(x == 0 for x in vec)
-    m = IntMatrix.from_rows(basis_rows).transpose()
-    return solve_integer(m, vec) is not None
+    return LatticeSolver(basis_rows).solve(vec) is not None
 
 
 _SNF_DIAG_CACHE: dict = {}

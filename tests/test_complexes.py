@@ -266,3 +266,26 @@ def test_build_complex_derives_face_data_once_per_node(monkeypatch):
     assert distinct > 0
     assert len(set(calls)) == distinct
     assert len(calls) <= 2 * distinct
+
+
+def test_homology_factors_its_relations_once_per_degree(monkeypatch):
+    import logtoric.abelian as abelian
+    import logtoric.intlinalg as intlinalg
+
+    cx = build_complex(1, 0, 2, 2)
+    expected = [h.invariants() for h in homology(cx)]
+    relations = sum(len(r) for r in cx.chain_relations) + sum(
+        len(d) for d in cx.differentials
+    )
+    calls = []
+    hnf = intlinalg.hermite_normal_form
+
+    def counted(m):
+        calls.append(m.rows)
+        return hnf(m)
+
+    monkeypatch.setattr(intlinalg, "hermite_normal_form", counted)
+    monkeypatch.setattr(abelian, "hermite_normal_form", counted)
+    assert [h.invariants() for h in homology(cx)] == expected
+    # per degree: the cycle kernel (two forms) and one solver for the relations
+    assert len(calls) <= 3 * (cx.n_max + 1) < relations

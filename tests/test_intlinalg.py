@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from logtoric.intlinalg import (
     FPAbelianGroup,
     IntMatrix,
+    LatticeSolver,
     cokernel,
     det,
     hermite_normal_form,
@@ -159,6 +160,26 @@ def test_kernel_and_solve():
     assert solve_integer(IntMatrix.from_rows([[2]]), (1,)) is None
 
 
+def test_kernel_and_solve_on_zero_row_matrix():
+    # Z^3 -> Z^0: everything is in the kernel, and 0 has the zero solution
+    m = IntMatrix.zero(0, 3)
+    assert m.transpose() == IntMatrix.zero(3, 0)
+    assert kernel_basis(m) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert solve_integer(m, ()) == (0, 0, 0)
+
+
+def test_lattice_solver_modulo_lattice():
+    # 2 x = t modulo 3Z: solvable for every t, with x = 2t mod 3 up to 3Z
+    solver = LatticeSolver([(2,)], [(3,)])
+    for t in range(-4, 5):
+        (x,) = solver.solve((t,))
+        assert (2 * x - t) % 3 == 0
+    assert LatticeSolver([(2,)], [(4,)]).solve((1,)) is None
+    # the kernel holds the relations among column and lattice generator
+    (k,) = solver.kernel()
+    assert 2 * k[0] + 3 * k[1] == 0 and k != (0, 0)
+
+
 def test_lattice_member():
     basis = [(2, 0), (0, 3)]
     assert lattice_member(basis, (4, 3))
@@ -171,3 +192,55 @@ def test_group_repr():
     g = FPAbelianGroup(3, IntMatrix.from_rows([[2, 0, 0]]))
     assert g.invariants() == (2, (2,))
     assert repr(g) == "Z + Z + Z/2"
+
+
+@st.composite
+def _lattice_problem(draw):
+    dim = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-4, 4)] * dim)
+    cols = draw(st.lists(vec, max_size=3))
+    lattice = draw(st.lists(vec, max_size=2))
+    # half the targets are combinations, so both answers get exercised
+    if draw(st.booleans()):
+        target = draw(vec)
+    else:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(cols + lattice),
+                               max_size=len(cols + lattice)))
+        target = tuple(
+            sum(c * v[k] for c, v in zip(coeffs, cols + lattice)) for k in range(dim)
+        )
+    return dim, cols, lattice, target
+
+
+@given(_lattice_problem())
+@settings(max_examples=150, deadline=None)
+def test_lattice_solver_against_sympy(problem):
+    # Oracle: t lies in the span of the columns and the lattice exactly when
+    # appending it leaves the nonzero invariant factors unchanged.
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    dim, cols, lattice, target = problem
+
+    def factors(vectors):
+        m = sympy.Matrix.zeros(dim, len(vectors))
+        for j, v in enumerate(vectors):
+            for k in range(dim):
+                m[k, j] = v[k]
+        return [f for f in invariant_factors(m, domain=sympy.ZZ) if f != 0]
+
+    solver = LatticeSolver(cols, lattice)
+    x = solver.solve(target)
+    solvable = factors(cols + lattice) == factors(cols + lattice + [target])
+    assert (x is not None) == solvable
+    if x is not None:
+        residue = tuple(
+            sum(c * v[k] for c, v in zip(x, cols)) - target[k] for k in range(dim)
+        )
+        assert lattice_member(lattice, residue)
+        # the solver agrees with a fresh solve of the stacked system
+        stacked = cols + lattice
+        m = IntMatrix.zero(dim, 0)
+        if stacked:
+            m = IntMatrix.from_rows(stacked).transpose()
+        assert x == solve_integer(m, target)[: len(cols)]
