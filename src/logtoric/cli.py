@@ -245,25 +245,23 @@ def cmd_logchow(args) -> int:
         payload["diagrams"] = [diagram_to_json(d) for d in cx.diagrams]
     if args.search_depth is not None:
         n = args.nmax - 1
-        traces = []
-        for gen in homology_generators(cx, n):
-            cycle = cx.ambient_of_chain(n, gen)
-            report = eventual_boundary_search(
-                args.q, args.r, n, cycle, cx.depth + 1, args.search_depth
-            )
-            traces.append(
-                {
-                    "degree": n,
-                    "cycle": _keyed_to_json(cycle),
-                    "found": report["found"],
-                    "witness_depth": report["depth"],
-                    "witness": _keyed_to_json(report["witness"])
-                    if report["witness"]
-                    else None,
-                    "explored": report["explored"],
-                }
-            )
-        payload["searches"] = traces
+        cycles = [cx.ambient_of_chain(n, gen) for gen in homology_generators(cx, n)]
+        reports = eventual_boundary_search(
+            args.q, args.r, n, cycles, cx.depth + 1, args.search_depth
+        )
+        payload["searches"] = [
+            {
+                "degree": n,
+                "cycle": _keyed_to_json(cycle),
+                "found": report["found"],
+                "witness_depth": report["depth"],
+                "witness": _keyed_to_json(report["witness"])
+                if report["witness"]
+                else None,
+                "explored": report["explored"],
+            }
+            for cycle, report in zip(cycles, reports)
+        ]
     _emit(args, payload)
     return 0
 

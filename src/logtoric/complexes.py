@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .abelian import Presentation, kernel_mod_lattice
 from .chow import (
     ChowClass,
-    external_insert,
     make_class,
     presentation_data,
     pullback_divisors,
@@ -217,12 +216,6 @@ def _face_map(node: CnrNode, i: int, kind: int):
         return canonical_class(restrict(cls))[1]
 
     return face.canonical(), image
-
-
-def _face_class(node: CnrNode, i: int, kind: int, cls: ChowClass):
-    """Image of a class under the face map, on the canonical face fan."""
-    face_fan, image = _face_map(node, i, kind)
-    return face_fan, image(cls)
 
 
 def _face_matrix(colim_n: ColimitGroup, colim_prev: ColimitGroup, i: int, kind: int):
@@ -448,127 +441,70 @@ def homology_generators(cx: NormalizedComplex, n: int):
     return _cycles(cx, n)
 
 
-def eventual_boundary_search(q, r, n, cycle_keyed, start_depth, max_depth, budget=None):
-    """Look for a chain one degree up whose differential equals the cycle,
-    at increasing diagram depth.
+def eventual_boundary_search(q, r, n, cycles, start_depth, max_depth, budget=None):
+    """Look for chains one degree up whose differentials equal the given
+    cycles, at increasing diagram depth.
 
-    ``cycle_keyed`` is the ambient representation {(canonical fan, cone):
-    coeff} of a degree-n cycle.  Returns a report dict; a found witness
-    is verified exactly before being reported.
+    ``cycles`` is a list of ambient representations {(canonical fan,
+    cone): coeff} of degree-n cycles.  Each depth builds one complex,
+    shared by every cycle not yet found; the search stops once every
+    cycle has a report.  Returns one report dict per cycle, in input
+    order, whose ``explored`` list ends at the depth where that cycle was
+    found; a found witness is verified exactly before being reported.
     """
-    explored = []
-    if not cycle_keyed:
-        return {
+    reports = [
+        None
+        if keyed
+        else {
             "found": True,
             "witness": {},
             "depth": start_depth,
             "explored": [],
             "note": "zero cycle",
         }
+        for keyed in cycles
+    ]
+    explored = []
     for d in range(start_depth, max_depth + 1):
+        pending = [k for k, rep in enumerate(reports) if rep is None]
+        if not pending:
+            break
         cx = build_complex(q, r, n + 1, d, budget=budget)
         explored.append(
             {"depth": d, "nodes": [len(diag.nodes) for diag in cx.diagrams],
              "truncated": cx.truncated}
         )
         pres = cx.colimits[n].presentation
-        cycle = cx.colimits[n].sparse_of_keyed(cycle_keyed)
+        targets = [(k, cx.colimits[n].sparse_of_keyed(cycles[k])) for k in pending]
         # solve d(w) = cycle over the chain basis of degree n+1
         if not cx.chain_bases[n + 1]:
             continue
         cols = cx.differentials[n + 1]
         vectors = [cx.sparse_of_chain(n, col) for col in cols]
-        sol = pres.solve_combination(vectors, cycle)
-        if sol is None:
-            continue
-        # exact verification: d(witness) and the cycle agree in the colimit
-        boundary = _apply(cols, sol, len(cx.chain_bases[n]))
-        if pres.normal_form(cx.sparse_of_chain(n, boundary)) != pres.normal_form(cycle):
-            raise ComplexError("witness verification failed")
-        return {
-            "found": True,
-            "witness": cx.ambient_of_chain(n + 1, sol),
-            "depth": d,
-            "explored": explored,
-        }
-    return {"found": False, "witness": None, "depth": None, "explored": explored}
-
-
-# -- degeneracy maps on colimits (identity-check tier) --------------------------
-
-
-def degeneracy_class(node: CnrNode, i: int, cls: ChowClass):
-    """p_i^* of a node class: the external insertion, on the canonical
-    inserted fan."""
-    out = external_insert(cls, i - 1)
-    return canonical_class(out)
-
-
-def check_colimit_cubical_identities(cx: NormalizedComplex, n: int):
-    """Matrix-level identities: for generators of degree n-1 whose
-    degeneracy image lies in the degree-n diagram, p then either face at
-    the same index is the identity; and for degree n, faces commute."""
-    assert 1 <= n <= cx.n_max
-    colim_prev = cx.colimits[n - 1]
-    colim_n = cx.colimits[n]
-    checked = 0
-    for node_idx, cone in colim_prev.gens:
-        node = colim_prev.diagram.nodes[node_idx]
-        cls = make_class(node.fan, cx.q, {cone: 1})
-        for i in range(1, n + 1):
-            up_fan, up_cls = degeneracy_class(
-                CnrNode(node.n, node.r, node.fan, node.depth), i, cls
-            )
-            up_idx = colim_n.diagram.node_index(up_fan)
-            if up_idx is None:
+        for k, cycle in targets:
+            sol = pres.solve_combination(vectors, cycle)
+            if sol is None:
                 continue
-            up_node = colim_n.diagram.nodes[up_idx]
-            for kind in (0, 1):
-                face_fan, back = _face_class(up_node, i, kind, up_cls)
-                back_idx = colim_prev.diagram.node_index(face_fan)
-                if back_idx is None:
-                    raise ComplexError("face of a degeneracy left the diagram")
-                lhs = colim_prev.core_of_class(back_idx, back)
-                rhs = colim_prev.core_of_class(node_idx, cls)
-                diff = {
-                    colim_prev.presentation.core_cols[t]: a - b
-                    for t, (a, b) in enumerate(zip(lhs, rhs))
-                    if a != b
-                }
-                if not colim_prev.presentation.is_zero(diff):
-                    raise ComplexError("p-then-face identity fails on the colimit")
-            checked += 1
-    if n >= 2:
-        colim_prev2 = cx.colimits[n - 2]
-        for node_idx, cone in colim_n.gens:
-            node = colim_n.diagram.nodes[node_idx]
-            cls = make_class(node.fan, cx.q, {cone: 1})
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    for ei in (0, 1):
-                        for ej in (0, 1):
-                            f1, c1 = _face_class(node, j, ej, cls)
-                            mid_idx = colim_prev.diagram.node_index(f1)
-                            mid = colim_prev.diagram.nodes[mid_idx]
-                            f2, c2 = _face_class(mid, i, ei, c1)
-                            g1, d1 = _face_class(node, i, ei, cls)
-                            mid2 = colim_prev.diagram.nodes[
-                                colim_prev.diagram.node_index(g1)
-                            ]
-                            g2, d2 = _face_class(mid2, j - 1, ej, d1)
-                            if f2 != g2:
-                                raise ComplexError("face fans fail to commute")
-                            a_idx = colim_prev2.diagram.node_index(f2)
-                            lhs = colim_prev2.core_of_class(a_idx, c2)
-                            rhs = colim_prev2.core_of_class(a_idx, d2)
-                            if lhs != rhs:
-                                diff = {
-                                    colim_prev2.presentation.core_cols[t]: a - b
-                                    for t, (a, b) in enumerate(zip(lhs, rhs))
-                                    if a != b
-                                }
-                                if not colim_prev2.presentation.is_zero(diff):
-                                    raise ComplexError(
-                                        "face maps fail to commute on the colimit"
-                                    )
-    return checked
+            # exact verification: d(witness) and the cycle agree in the colimit
+            boundary = _apply(cols, sol, len(cx.chain_bases[n]))
+            if pres.normal_form(cx.sparse_of_chain(n, boundary)) != pres.normal_form(
+                cycle
+            ):
+                raise ComplexError("witness verification failed")
+            reports[k] = {
+                "found": True,
+                "witness": cx.ambient_of_chain(n + 1, sol),
+                "depth": d,
+                "explored": list(explored),
+            }
+    return [
+        rep
+        if rep is not None
+        else {
+            "found": False,
+            "witness": None,
+            "depth": None,
+            "explored": list(explored),
+        }
+        for rep in reports
+    ]

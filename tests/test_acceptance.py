@@ -244,7 +244,7 @@ def test_criterion_6_h1_probe():
         searches = []
         for g in gens:
             cycle = cx.ambient_of_chain(1, g)
-            rep = eventual_boundary_search(1, 0, 1, cycle, 1, 3)
+            rep = eventual_boundary_search(1, 0, 1, [cycle], 1, 3)[0]
             assert rep["explored"], "search must report explored nodes"
             searches.append(
                 {"found": rep["found"], "witness_depth": rep["depth"]}

@@ -1,14 +1,17 @@
 import pytest
 
+from logtoric.chow import external_insert, make_class
 from logtoric.complexes import (
+    ComplexError,
+    _face_map,
     build_colimit,
     build_complex,
-    check_colimit_cubical_identities,
+    canonical_class,
     eventual_boundary_search,
     homology,
     homology_generators,
 )
-from logtoric.sbl import enumerate_cnr
+from logtoric.sbl import CnrNode, enumerate_cnr
 
 
 def test_colimit_of_single_node_is_chow():
@@ -63,11 +66,97 @@ def test_complex_q_above_rank_vanishes():
         assert h.is_trivial()
 
 
+# -- cubical identities on colimits, checked class by class --------------------
+
+
+def _face_class(node, i, kind, cls):
+    """Image of a class under the face map, on the canonical face fan."""
+    face_fan, image = _face_map(node, i, kind)
+    return face_fan, image(cls)
+
+
+def _degeneracy_class(node, i, cls):
+    """p_i^* of a node class: the external insertion, on the canonical
+    inserted fan."""
+    out = external_insert(cls, i - 1)
+    return canonical_class(out)
+
+
+def _check_colimit_cubical_identities(cx, n):
+    """Matrix-level identities: for generators of degree n-1 whose
+    degeneracy image lies in the degree-n diagram, p then either face at
+    the same index is the identity; and for degree n, faces commute."""
+    assert 1 <= n <= cx.n_max
+    colim_prev = cx.colimits[n - 1]
+    colim_n = cx.colimits[n]
+    checked = 0
+    for node_idx, cone in colim_prev.gens:
+        node = colim_prev.diagram.nodes[node_idx]
+        cls = make_class(node.fan, cx.q, {cone: 1})
+        for i in range(1, n + 1):
+            up_fan, up_cls = _degeneracy_class(
+                CnrNode(node.n, node.r, node.fan, node.depth), i, cls
+            )
+            up_idx = colim_n.diagram.node_index(up_fan)
+            if up_idx is None:
+                continue
+            up_node = colim_n.diagram.nodes[up_idx]
+            for kind in (0, 1):
+                face_fan, back = _face_class(up_node, i, kind, up_cls)
+                back_idx = colim_prev.diagram.node_index(face_fan)
+                if back_idx is None:
+                    raise ComplexError("face of a degeneracy left the diagram")
+                lhs = colim_prev.core_of_class(back_idx, back)
+                rhs = colim_prev.core_of_class(node_idx, cls)
+                diff = {
+                    colim_prev.presentation.core_cols[t]: a - b
+                    for t, (a, b) in enumerate(zip(lhs, rhs))
+                    if a != b
+                }
+                if not colim_prev.presentation.is_zero(diff):
+                    raise ComplexError("p-then-face identity fails on the colimit")
+            checked += 1
+    if n >= 2:
+        colim_prev2 = cx.colimits[n - 2]
+        for node_idx, cone in colim_n.gens:
+            node = colim_n.diagram.nodes[node_idx]
+            cls = make_class(node.fan, cx.q, {cone: 1})
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    for ei in (0, 1):
+                        for ej in (0, 1):
+                            f1, c1 = _face_class(node, j, ej, cls)
+                            mid_idx = colim_prev.diagram.node_index(f1)
+                            mid = colim_prev.diagram.nodes[mid_idx]
+                            f2, c2 = _face_class(mid, i, ei, c1)
+                            g1, d1 = _face_class(node, i, ei, cls)
+                            mid2 = colim_prev.diagram.nodes[
+                                colim_prev.diagram.node_index(g1)
+                            ]
+                            g2, d2 = _face_class(mid2, j - 1, ej, d1)
+                            if f2 != g2:
+                                raise ComplexError("face fans fail to commute")
+                            a_idx = colim_prev2.diagram.node_index(f2)
+                            lhs = colim_prev2.core_of_class(a_idx, c2)
+                            rhs = colim_prev2.core_of_class(a_idx, d2)
+                            if lhs != rhs:
+                                diff = {
+                                    colim_prev2.presentation.core_cols[t]: a - b
+                                    for t, (a, b) in enumerate(zip(lhs, rhs))
+                                    if a != b
+                                }
+                                if not colim_prev2.presentation.is_zero(diff):
+                                    raise ComplexError(
+                                        "face maps fail to commute on the colimit"
+                                    )
+    return checked
+
+
 def test_square_zero_and_identities_small():
     cx = build_complex(1, 0, 2, 1)
     # build_complex raises on delta^2 != 0; also run the matrix identities
-    check_colimit_cubical_identities(cx, 1)
-    checked = check_colimit_cubical_identities(cx, 2)
+    _check_colimit_cubical_identities(cx, 1)
+    checked = _check_colimit_cubical_identities(cx, 2)
     assert checked > 0
 
 
@@ -102,14 +191,14 @@ def test_h1_probe_and_search():
     assert gens
     cycle = cx.ambient_of_chain(1, gens[0])
     assert cycle
-    report = eventual_boundary_search(1, 0, 1, cycle, 1, 2, budget=200)
+    report = eventual_boundary_search(1, 0, 1, [cycle], 1, 2, budget=200)[0]
     assert report["explored"]
     if report["found"]:
         assert report["witness"]
 
 
 def test_search_zero_cycle():
-    report = eventual_boundary_search(1, 0, 1, {}, 0, 0)
+    report = eventual_boundary_search(1, 0, 1, [{}], 0, 0)[0]
     assert report["found"]
     assert report["witness"] == {}
 
@@ -124,8 +213,55 @@ def test_search_boundary_has_witness():
     if not any(col):
         pytest.skip("first generator is a cycle")
     cycle = cx.ambient_of_chain(1, col)
-    report = eventual_boundary_search(1, 0, 1, cycle, 1, 1)
+    report = eventual_boundary_search(1, 0, 1, [cycle], 1, 1)[0]
     assert report["found"]
+
+
+def _search_cycles():
+    """The H_1 probe cycle at depth 0, the zero cycle, and a boundary at
+    depth 1."""
+    cx = build_complex(1, 0, 2, 0)
+    probe = cx.ambient_of_chain(1, homology_generators(cx, 1)[0])
+    cx = build_complex(1, 0, 2, 1)
+    col = next(col for col in cx.differentials[2] if any(col))
+    return [probe, {}, cx.ambient_of_chain(1, col)]
+
+
+def test_search_over_a_list_matches_one_search_per_cycle():
+    cycles = _search_cycles()
+    # from depth 0 the probe is found at depth 1 and the zero cycle at once
+    # (the depth-1 boundary lives outside the depth-0 diagram)
+    for batch, start in ((cycles, 1), (cycles[:2], 0)):
+        reports = eventual_boundary_search(1, 0, 1, batch, start, 2, budget=200)
+        singles = [
+            eventual_boundary_search(1, 0, 1, [cycle], start, 2, budget=200)[0]
+            for cycle in batch
+        ]
+        assert reports == singles
+        assert reports[1]["note"] == "zero cycle"
+        assert reports[1]["depth"] == start
+    assert [e["depth"] for e in reports[0]["explored"]] == [0, 1]
+
+
+def test_search_builds_one_complex_per_depth(monkeypatch):
+    import logtoric.complexes as complexes
+
+    cycles = _search_cycles()
+    depths = []
+
+    def counted(q, r, n_max, depth, budget=None):
+        depths.append(depth)
+        return build_complex(q, r, n_max, depth, budget=budget)
+
+    monkeypatch.setattr(complexes, "build_complex", counted)
+    for batch in ([cycles[0]], cycles, cycles + cycles):
+        depths.clear()
+        reports = eventual_boundary_search(1, 0, 1, batch, 1, 2, budget=200)
+        explored = max((r["explored"] for r in reports), key=len)
+        assert depths == [e["depth"] for e in explored]
+    depths.clear()
+    assert all(r["found"] for r in eventual_boundary_search(1, 0, 1, [{}, {}], 1, 2))
+    assert depths == []
 
 
 def test_golden_degree2_chain_rank_depth1():
