@@ -136,11 +136,12 @@ class Presentation:
         """Basis rows of the relation lattice in core coordinates."""
         return list(self._reduction)
 
-    def solve_combination(self, vectors, target):
-        """Integer coefficients x with sum x_i vectors_i = target in this
-        quotient, or None.  Vectors and target may be sparse dicts."""
-        cols = [self.to_core(v) for v in vectors]
-        return LatticeSolver(cols, self._reduction).solve(self.to_core(target))
+    def solve_combination(self, vectors, targets):
+        """For each target, integer coefficients x with sum x_i vectors_i
+        = target in this quotient, or None.  The vectors are factored
+        once for all targets; vectors and targets may be sparse dicts."""
+        solver = LatticeSolver([self.to_core(v) for v in vectors], self._reduction)
+        return [solver.solve(self.to_core(t)) for t in targets]
 
 
 def kernel_mod_lattice(matrix_rows, lattice_rows, ncols):

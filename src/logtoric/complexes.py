@@ -475,14 +475,14 @@ def eventual_boundary_search(q, r, n, cycles, start_depth, max_depth, budget=Non
              "truncated": cx.truncated}
         )
         pres = cx.colimits[n].presentation
-        targets = [(k, cx.colimits[n].sparse_of_keyed(cycles[k])) for k in pending]
+        targets = [cx.colimits[n].sparse_of_keyed(cycles[k]) for k in pending]
         # solve d(w) = cycle over the chain basis of degree n+1
         if not cx.chain_bases[n + 1]:
             continue
         cols = cx.differentials[n + 1]
         vectors = [cx.sparse_of_chain(n, col) for col in cols]
-        for k, cycle in targets:
-            sol = pres.solve_combination(vectors, cycle)
+        sols = pres.solve_combination(vectors, targets)
+        for k, cycle, sol in zip(pending, targets, sols):
             if sol is None:
                 continue
             # exact verification: d(witness) and the cycle agree in the colimit

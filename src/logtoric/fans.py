@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .cones import Cone, dot, saturated_span_basis
 from .intlinalg import (
@@ -41,7 +41,7 @@ class Fan:
         maximal_cones = tuple(tuple(sorted(set(int(i) for i in c))) for c in maximal_cones)
         fan = Fan(rank, rays, maximal_cones)
         if validate:
-            fan.validate()
+            _validate_once(fan)
         return fan
 
     # -- structure -------------------------------------------------------
@@ -98,10 +98,11 @@ class Fan:
 
     def all_cone_indices(self):
         """All cones of the fan as sorted ray-index tuples (faces included)."""
-        return list(_fan_all_cone_indices(self))
+        return list(_fan_all_cone_indices(self)[0])
 
     def cone_indices_of_dim(self, d):
-        return [c for c in self.all_cone_indices() if self.cone(c).dim == d]
+        cones, dims = _fan_all_cone_indices(self)
+        return [c for c, dim in zip(cones, dims) if dim == d]
 
     def has_cone(self, cone: Cone) -> bool:
         return self.find_cone(cone) is not None
@@ -146,15 +147,26 @@ class Fan:
 # -- predicates ----------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
+def _validate_once(fan: Fan) -> None:
+    """``fan.validate()`` once per distinct fan value.  A fan that fails
+    raises every time: ``lru_cache`` does not store exceptions."""
+    fan.validate()
+
+
 @lru_cache(maxsize=None)
 def _fan_all_cone_indices(fan: Fan):
-    out = {()}
+    """All cones as sorted ray-index tuples ordered by (length, indices),
+    and their dimensions read off the face walk, as two parallel tuples
+    (pairs would cost one more tuple per cone of every cached fan)."""
+    out = {(): 0}
     for mc in fan.maximal_cones:
         cone = fan.cone(mc)
         ray_of = {fan.rays[i]: i for i in mc}
         for f in cone.faces():
-            out.add(tuple(sorted(ray_of[r] for r in f.rays)))
-    return tuple(sorted(out, key=lambda t: (len(t), t)))
+            out[tuple(sorted(ray_of[r] for r in f.rays))] = f.dim
+    cones = sorted(out, key=lambda t: (len(t), t))
+    return tuple(cones), tuple(out[c] for c in cones)
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +181,8 @@ def is_complete(fan: Fan) -> bool:
 
     Checked by facet pairing: nonempty fan, all maximal cones of full
     dimension, and every facet of a maximal cone lies in exactly two
-    maximal cones.
+    maximal cones.  A facet lies in a cone when each of its rays does;
+    each (cone, ray) membership is tested once, not once per facet.
     """
     if not fan.maximal_cones:
         return False
@@ -178,9 +191,16 @@ def is_complete(fan: Fan) -> bool:
     cones = fan.maximal()
     if any(c.dim != fan.rank for c in cones):
         return False
+
+    @cache  # local to this call
+    def contains(j, ray):
+        return cones[j].contains_point(ray)
+
     for c in cones:
         for facet in c.facets():
-            count = sum(1 for other in cones if other.contains_cone(facet))
+            count = sum(
+                1 for j in range(len(cones)) if all(contains(j, r) for r in facet.rays)
+            )
             if count != 2:
                 return False
     return True
@@ -768,7 +788,7 @@ def star_quotient(fan: Fan, sigma_indices) -> tuple:
         idx = quotient.ray_index(new_rays[j])
         if idx is not None:
             corr[i] = idx
-    quotient.validate()
+    _validate_once(quotient)
     return quotient, corr
 
 

@@ -30,14 +30,14 @@ def test_presentation_no_unit_pivot():
 def test_solve_combination():
     p = Presentation(2, [{0: 2, 1: -2}])
     # target (1,1): x*(1,0) + y*(0,1); modulo (2,-2): (1,1) = (1,0)+(0,1)
-    sol = p.solve_combination([{0: 1}, {1: 1}], {0: 1, 1: 1})
+    [sol] = p.solve_combination([{0: 1}, {1: 1}], [{0: 1, 1: 1}])
     assert sol is not None
     x, y = sol
     got = {0: x, 1: y}
     diff = {0: got.get(0, 0) - 1, 1: got.get(1, 0) - 1}
     assert p.is_zero(diff)
     # no combination of (2,0) makes (1,0) even modulo the relation lattice
-    assert p.solve_combination([{0: 2}], {0: 1}) is None
+    assert p.solve_combination([{0: 2}], [{0: 1}]) == [None]
 
 
 def test_kernel_mod_lattice():

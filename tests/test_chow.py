@@ -221,3 +221,44 @@ def test_insert_p1_coordinate_shape():
     assert big.rank == 2
     assert set(big.rays) == {(0, 1), (0, -1), (1, 0), (-1, 0)}
     assert len(big.maximal_cones) == 4
+
+
+def _h_vector(fan):
+    """h-vector of a simplicial fan, from an f-vector counted directly
+    over subsets of the maximal cones: sum_q h_q t^q equals
+    sum_i f_i t^i (1 - t)^(d - i)."""
+    from itertools import combinations
+    from math import comb
+
+    d = fan.rank
+    faces = {face for mc in fan.maximal_cones for k in range(len(mc) + 1)
+             for face in combinations(mc, k)}
+    f = [sum(1 for face in faces if len(face) == i) for i in range(d + 1)]
+    # t^i (1 - t)^(d - i) = sum_j (-1)^j C(d - i, j) t^(i + j)
+    return [
+        sum((-1) ** (q - i) * comb(d - i, q - i) * f[i] for i in range(q + 1))
+        for q in range(d + 1)
+    ]
+
+
+def _oracle_fans():
+    """P^3 and seeded towers of star subdivisions of (P^1)^3 at cones of
+    dimension 2 or 3."""
+    fans = [standard_fan("P^n", 3)]
+    rng = random.Random(606)
+    for _ in range(6):
+        fan = p1_power(3)
+        for _ in range(rng.randint(1, 4)):
+            centers = [c for c in fan.all_cone_indices() if len(c) >= 2]
+            fan, _ = star_subdivide(fan, centers[rng.randrange(len(centers))])
+        fans.append(fan)
+    return fans
+
+
+@pytest.mark.parametrize("fan", _oracle_fans())
+def test_chow_ranks_are_the_h_vector(fan):
+    # Danilov-Jurkiewicz: CH^q of a smooth complete fan is free of rank h_q
+    h = _h_vector(fan)
+    for q in range(fan.rank + 1):
+        group = chow_presentation(fan, q)
+        assert (group.rank, group.torsion) == (h[q], ())

@@ -380,3 +380,116 @@ def test_complete_fan_rank3_unsupported():
 
     with pytest.raises(FanError, match="unsupported in rank 3"):
         complete_fan(standard_fan("A^n", 3))
+
+
+# -- validation memo ------------------------------------------------------------
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    original = Fan.validate
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fan, "validate", counting)
+    return calls
+
+
+def test_make_validates_each_distinct_fan_once(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    # a fan no other test builds, so it is new to the process
+    args = (2, [(1, 0), (1, 9973)], [(0, 1)])
+    first = Fan.make(*args)
+    second = Fan.make(*args)
+    assert first == second
+    assert len(calls) == 1
+    # a different fan is validated on its first make
+    Fan.make(2, [(1, 0), (1, 9967)], [(0, 1)])
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, [(1, 0), (0, 1), (1, 1), (1, -1)], [(0, 1), (2, 3)]), "common face"),
+        ((2, [(4, 0)], [(0,)]), "primitive"),
+    ],
+)
+def test_invalid_fan_raises_on_every_make(monkeypatch, args, message):
+    calls = _count_validations(monkeypatch)
+    for attempt in (1, 2):
+        with pytest.raises(FanError, match=message):
+            Fan.make(*args)
+        assert len(calls) == attempt
+
+
+def test_make_without_validation_never_validates(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    args = (2, [(1, 0), (1, 9941)], [(0, 1)])
+    Fan.make(*args, validate=False)
+    Fan.make(*args, validate=False)
+    # overlapping cones are accepted unchecked
+    Fan.make(2, [(1, 0), (0, 1), (1, 1), (1, -1)], [(0, 1), (2, 3)], validate=False)
+    assert calls == []
+
+
+# -- predicates against their direct definitions -------------------------------
+
+
+def _complete_by_facet_pairing(fan):
+    """``is_complete`` as first written: one containment test per facet."""
+    if not fan.maximal_cones:
+        return False
+    if fan.rank == 0:
+        return True
+    cones = fan.maximal()
+    if any(c.dim != fan.rank for c in cones):
+        return False
+    return all(
+        sum(other.contains_cone(facet) for other in cones) == 2
+        for c in cones
+        for facet in c.facets()
+    )
+
+
+def _complete_oracle_fans():
+    fans = [standard_fan("P^n", n) for n in (1, 2, 3)]
+    fans += [p1_power(n) for n in (1, 2, 3)]
+    rng = random.Random(505)
+    for _ in range(6):
+        fan = p1_power(3)
+        for _ in range(rng.randint(1, 3)):
+            centers = [c for c in fan.all_cone_indices() if len(c) >= 2]
+            fan, _ = star_subdivide(fan, centers[rng.randrange(len(centers))])
+        fans.append(fan)
+    return fans
+
+
+COMPLETE_FANS = _complete_oracle_fans()
+# the same fans with one maximal cone removed, and an unvalidated fan
+# whose cones overlap
+INCOMPLETE_FANS = [Fan.make(f.rank, f.rays, f.maximal_cones[1:]) for f in COMPLETE_FANS] + [
+    Fan.make(
+        2,
+        [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1)],
+        [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)],
+        validate=False,
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "fan, complete",
+    [(f, True) for f in COMPLETE_FANS] + [(f, False) for f in INCOMPLETE_FANS],
+)
+def test_is_complete_matches_facet_pairing(fan, complete):
+    assert is_complete(fan) == _complete_by_facet_pairing(fan) == complete
+
+
+@pytest.mark.parametrize("fan", COMPLETE_FANS + INCOMPLETE_FANS)
+def test_cone_indices_of_dim_matches_cone_dimensions(fan):
+    all_cones = fan.all_cone_indices()
+    for d in range(fan.rank + 2):
+        assert fan.cone_indices_of_dim(d) == [c for c in all_cones if fan.cone(c).dim == d]
