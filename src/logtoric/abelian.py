@@ -94,6 +94,12 @@ class Presentation:
         else:
             self._reduction = []
 
+    @property
+    def eliminations(self):
+        """The unit-pivot substitutions in the order they were made, as
+        ``(col, {col2: coeff})`` pairs meaning e_col = sum coeff * e_col2."""
+        return tuple(self._eliminations)
+
     @staticmethod
     def _clean(r):
         return {c: v for c, v in r.items() if v}

@@ -198,7 +198,6 @@ def multiply_by_divisor(cls: ChowClass, divisor) -> ChowClass:
     gens, _, _ = presentation_data(fan, cls.q)
     out_gens, _, out_reduction = presentation_data(fan, cls.q + 1)
     out_pos = {c: i for i, c in enumerate(out_gens)}
-    all_cones = {tuple(c) for c in fan.all_cone_indices()}
     acc = [0] * len(out_gens)
 
     def add_term(sigma, rho, coeff):
@@ -207,7 +206,7 @@ def multiply_by_divisor(cls: ChowClass, divisor) -> ChowClass:
         sigma_set = set(sigma)
         if rho not in sigma_set:
             joined = tuple(sorted(sigma_set | {rho}))
-            if joined in out_pos and joined in all_cones:
+            if joined in out_pos:  # a (q+1)-cone of the fan
                 acc[out_pos[joined]] += coeff
             # no cone: Stanley-Reisner zero
             return

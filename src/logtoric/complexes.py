@@ -8,15 +8,19 @@ chain groups are kernels into quotients, and homology is a subquotient
 read off Smith normal form.
 
 The structure maps depend on a node or an edge, never on the class they
-map.  So the face data of a node (face fan, its index one degree down,
-the restricted ray divisors) is derived once per face index and kind,
-and the pulled-back ray divisors once per refinement edge; every
-generator of that node or edge is then mapped through them.
+map.  The faces of a node are derived once, in ``_close_under_faces``,
+which closes the diagrams under faces and returns a face table (the
+target node one degree down, and for a zero face the ray e_i and the
+lift).  ``_face_matrix`` reads that table and builds each node's
+restricted ray divisors once per face index and kind; the pulled-back
+ray divisors are built once per refinement edge.  Every generator of
+that node or edge is then mapped through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .abelian import Presentation, kernel_mod_lattice
 from .chow import (
@@ -117,24 +121,6 @@ def build_colimit(diagram: CnrDiagram, q: int) -> ColimitGroup:
     return ColimitGroup(q, diagram, gens, gen_index, Presentation(len(gens), rows))
 
 
-def canonical_class(cls: ChowClass):
-    """Rewrite a class over the canonical form of its fan.
-
-    Returns ``(canonical fan, class)``."""
-    fan = cls.fan
-    canon = fan.canonical()
-    if canon == fan:
-        return canon, cls
-    order = sorted(range(len(fan.rays)), key=lambda i: fan.rays[i])
-    remap = {old: new for new, old in enumerate(order)}
-    gens, _, _ = presentation_data(fan, cls.q)
-    coeffs = {}
-    for cone, c in zip(gens, cls.coords):
-        if c:
-            coeffs[tuple(sorted(remap[i] for i in cone))] = c
-    return canon, make_class(canon, cls.q, coeffs)
-
-
 @dataclass
 class NormalizedComplex:
     q: int
@@ -156,9 +142,6 @@ class NormalizedComplex:
             IntMatrix.from_rows(rel) if rel else IntMatrix.zero(0, len(basis)),
         )
 
-    def chain_rank(self, n: int) -> int:
-        return self.chain_group(n).rank
-
     def sparse_of_chain(self, n: int, coeffs):
         """Chain-coordinate vector -> sparse ambient vector, supported on
         the core columns of the degree-n colimit."""
@@ -172,8 +155,17 @@ class NormalizedComplex:
 
 
 def _close_under_faces(diagrams):
-    """Add the face images every node needs, degree by degree."""
+    """Add the face images every node needs, degree by degree, and
+    return the face table.
+
+    This is the one place a node's faces are derived.  ``faces[n][k][i - 1]``
+    is ``(zero target, e_i ray, lift, one target)`` for node ``k`` of
+    degree ``n``: the indices of its zero and one faces in degree n - 1,
+    the index of the ray e_i, and the lift of the zero face (one fan ray
+    per quotient ray).  Both face fans come out canonical, so they
+    are the fans of their target nodes; ``faces[0]`` is empty."""
     n_max = len(diagrams) - 1
+    faces = [[] for _ in diagrams]
     for n in range(n_max, 0, -1):
         diag = diagrams[n]
         below = diagrams[n - 1]
@@ -181,62 +173,61 @@ def _close_under_faces(diagrams):
         while pos < len(diag.nodes):
             node = diag.nodes[pos]
             pos += 1
+            entries = []
             for i in range(1, n + 1):
-                for kind in (0, 1):
-                    fan, _ = _face_map(node, i, kind)
-                    if below.node_index(fan) is None:
-                        below.add_node(
-                            CnrNode.make(n - 1, diag.r, fan, depth=node.depth)
-                        )
-    return diagrams
+                zero, lift, ray = face_zero_data(node.fan, n, diag.r, i)
+                one = hyperplane_slice(node.fan, i - 1)
+                zero_target = _face_node(below, zero, node.depth)
+                one_target = _face_node(below, one, node.depth)
+                entries.append((zero_target, ray, lift, one_target))
+            faces[n].append(tuple(entries))
+    return faces
 
 
-def _face_map(node: CnrNode, i: int, kind: int):
-    """The face map of one node, derived once for all of its classes.
-
-    Returns ``(canonical face fan, image)`` where ``image(cls)`` is the
-    image of a node class, rewritten over the canonical face fan."""
-    if kind == 0:
-        face, lift, ray = face_zero_data(node.fan, node.n, node.r, i)
-        divisor_of = star_quotient_divisors(node.fan, (ray,), face, lift)
-
-        def restrict(cls):
-            return restrict_to_star_quotient(
-                node.fan, (ray,), face, lift, cls, divisor_of
-            )
-
-    else:
-        face = hyperplane_slice(node.fan, i - 1)
-        divisor_of = slice_divisors(node.fan, i - 1, face)
-
-        def restrict(cls):
-            return restrict_slice(node.fan, i - 1, cls, divisor_of)
-
-    def image(cls):
-        return canonical_class(restrict(cls))[1]
-
-    return face.canonical(), image
+def _face_node(below: CnrDiagram, fan, depth: int) -> int:
+    """Index of the node of ``below`` with this face fan, added if new."""
+    idx = below.node_index(fan)
+    if idx is None:
+        idx = len(below.nodes)
+        below.add_node(CnrNode.make(below.n, below.r, fan, depth=depth))
+    if below.nodes[idx].fan != fan:
+        raise ComplexError("face fan is not canonical")
+    return idx
 
 
-def _face_matrix(colim_n: ColimitGroup, colim_prev: ColimitGroup, i: int, kind: int):
-    """Core-coordinate image of each ambient generator of colim_n.
+def _face_matrix(
+    colim_n: ColimitGroup, colim_prev: ColimitGroup, faces, i: int, kind: int
+):
+    """Core-coordinate image of each ambient generator of colim_n under
+    the face (i, kind).
 
-    ``colim_n.gens`` is grouped by node, so each node's face map is
-    derived once and dropped when the next node starts."""
-    diagram = colim_n.diagram
-    prev = colim_prev.diagram
+    ``faces`` is the degree-n face table of ``_close_under_faces``.
+    ``colim_n.gens`` is grouped by node, so each node's divisor map is
+    built once, against its target fan, and dropped when the next node
+    starts."""
+    nodes = colim_n.diagram.nodes
+    prev = colim_prev.diagram.nodes
     images = []
     current = None
     for node_idx, cone in colim_n.gens:
-        node = diagram.nodes[node_idx]
+        fan = nodes[node_idx].fan
         if node_idx != current:
             current = node_idx
-            face_fan, image = _face_map(node, i, kind)
-            target_idx = prev.node_index(face_fan)
-            if target_idx is None:
-                raise ComplexError("face image missing from the lower diagram")
-        cls = make_class(node.fan, colim_n.q, {cone: 1})
-        images.append(colim_prev.core_of_class(target_idx, image(cls)))
+            zero_target, ray, lift, one_target = faces[node_idx][i - 1]
+            target = one_target if kind else zero_target
+            face = prev[target].fan
+            if kind == 0:
+                restrict = partial(
+                    restrict_to_star_quotient, fan, (ray,), face, lift,
+                    divisor_of=star_quotient_divisors(fan, (ray,), face, lift),
+                )
+            else:
+                restrict = partial(
+                    restrict_slice, fan, i - 1,
+                    divisor_of=slice_divisors(fan, i - 1, face),
+                )
+        cls = make_class(fan, colim_n.q, {cone: 1})
+        images.append(colim_prev.core_of_class(target, restrict(cls)))
     return images
 
 
@@ -244,7 +235,7 @@ def _assert_descends(colim_n: ColimitGroup, images, colim_prev: ColimitGroup):
     ncore = len(colim_prev.presentation.core_cols)
     pres = colim_n.presentation
     # every elimination and core relation must map to zero downstairs
-    for c, expr in pres._eliminations:
+    for c, expr in pres.eliminations:
         acc = list(images[c])
         for c2, v in expr.items():
             for k in range(ncore):
@@ -282,7 +273,7 @@ def build_complex(
         for n in range(n_max + 1)
     ]
     truncated = any(d.truncated for d in diagrams)
-    _close_under_faces(diagrams)
+    faces = _close_under_faces(diagrams)
     colimits = [build_colimit(diagrams[n], q) for n in range(n_max + 1)]
 
     # face maps on core coordinates
@@ -290,10 +281,10 @@ def build_complex(
     one_face = {}
     for n in range(1, n_max + 1):
         for i in range(1, n + 1):
-            imgs0 = _face_matrix(colimits[n], colimits[n - 1], i, 0)
+            imgs0 = _face_matrix(colimits[n], colimits[n - 1], faces[n], i, 0)
             _assert_descends(colimits[n], imgs0, colimits[n - 1])
             zero_face[(n, i)] = _core_matrix(colimits[n], imgs0)
-            imgs1 = _face_matrix(colimits[n], colimits[n - 1], i, 1)
+            imgs1 = _face_matrix(colimits[n], colimits[n - 1], faces[n], i, 1)
             _assert_descends(colimits[n], imgs1, colimits[n - 1])
             one_face[(n, i)] = _core_matrix(colimits[n], imgs1)
 

@@ -104,9 +104,6 @@ class Fan:
         cones, dims = _fan_all_cone_indices(self)
         return [c for c, dim in zip(cones, dims) if dim == d]
 
-    def has_cone(self, cone: Cone) -> bool:
-        return self.find_cone(cone) is not None
-
     def find_cone(self, cone: Cone):
         """Ray-index tuple of ``cone`` if it is a cone of this fan."""
         for mc in self.maximal_cones:
@@ -128,9 +125,6 @@ class Fan:
                 if best is None or len(idx) < len(best):
                     best = idx
         return best
-
-    def supports_point(self, point) -> bool:
-        return any(c.contains_point(point) for c in self.maximal())
 
     def is_simplicial(self) -> bool:
         return all(c.is_simplicial() for c in self.maximal())

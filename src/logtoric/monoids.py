@@ -110,9 +110,6 @@ class ToricMonoid:
             return 0
         return mat_rank(IntMatrix.from_rows(gens))
 
-    def is_group(self) -> bool:
-        return not self.cone_rays
-
     def units(self):
         """Basis of the unit subgroup M*."""
         return self.lines
@@ -195,10 +192,6 @@ class PointedMonoid:
     @staticmethod
     def f1() -> "PointedMonoid":
         return PointedMonoid(ToricMonoid.from_gens([], 0))
-
-    @staticmethod
-    def f1_of(monoid: ToricMonoid) -> "PointedMonoid":
-        return PointedMonoid(monoid)
 
     @property
     def rank(self):

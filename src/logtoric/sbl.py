@@ -230,8 +230,9 @@ def enumerate_cnr(
 
 def face_zero_data(fan: Fan, n: int, r: int, i: int):
     """Star quotient at the ray e_i, identified with deletion of the i-th
-    coordinate.  Returns ``(quotient fan, lift, e_ray_index)`` where
-    ``lift[quotient ray index]`` is the fan ray projecting onto it."""
+    coordinate.  Returns ``(quotient fan, lift, e_ray_index)`` where the
+    tuple ``lift[quotient ray index]`` is the fan ray projecting onto it.
+    The quotient fan is canonical: its rays come out sorted."""
     if not 1 <= i <= n:
         raise SblError("face index out of range")
     coord = i - 1
@@ -269,16 +270,11 @@ def face_zero_data(fan: Fan, n: int, r: int, i: int):
         [rays[k] for k in order],
         sorted(tuple(sorted(remap[j] for j in c)) for c in set(star_cones)),
     )
-    lift = {remap[k]: lift_of[rays[k]] for k in range(len(rays))}
-    return fan_out, lift, ray
-
-
-def face_zero_fan(fan: Fan, n: int, r: int, i: int) -> Fan:
-    return face_zero_data(fan, n, r, i)[0]
+    return fan_out, tuple(lift_of[rays[k]] for k in order), ray
 
 
 def face_zero(node: CnrNode, i: int) -> CnrNode:
-    fan = face_zero_fan(node.fan, node.n, node.r, i)
+    fan = face_zero_data(node.fan, node.n, node.r, i)[0]
     try:
         return CnrNode.make(node.n - 1, node.r, fan, depth=node.depth)
     except SblError as exc:

@@ -1,17 +1,24 @@
 import pytest
 
-from logtoric.chow import external_insert, make_class
+from logtoric.chow import (
+    external_insert,
+    make_class,
+    presentation_data,
+    restrict_slice,
+    restrict_to_star_quotient,
+)
 from logtoric.complexes import (
     ComplexError,
-    _face_map,
+    _close_under_faces,
+    _face_matrix,
     build_colimit,
     build_complex,
-    canonical_class,
     eventual_boundary_search,
     homology,
     homology_generators,
 )
-from logtoric.sbl import CnrNode, enumerate_cnr
+from logtoric.fans import hyperplane_slice
+from logtoric.sbl import CnrNode, enumerate_cnr, face_zero_data
 
 
 def test_colimit_of_single_node_is_chow():
@@ -69,17 +76,40 @@ def test_complex_q_above_rank_vanishes():
 # -- cubical identities on colimits, checked class by class --------------------
 
 
+def _canonical_class(cls):
+    """Rewrite a class over the canonical form of its fan; returns
+    ``(canonical fan, class)``.  ``external_insert`` and ``restrict_star``
+    produce classes on fans that are not canonical."""
+    fan = cls.fan
+    canon = fan.canonical()
+    if canon == fan:
+        return canon, cls
+    order = sorted(range(len(fan.rays)), key=lambda i: fan.rays[i])
+    remap = {old: new for new, old in enumerate(order)}
+    gens, _, _ = presentation_data(fan, cls.q)
+    coeffs = {}
+    for cone, c in zip(gens, cls.coords):
+        if c:
+            coeffs[tuple(sorted(remap[i] for i in cone))] = c
+    return canon, make_class(canon, cls.q, coeffs)
+
+
 def _face_class(node, i, kind, cls):
-    """Image of a class under the face map, on the canonical face fan."""
-    face_fan, image = _face_map(node, i, kind)
-    return face_fan, image(cls)
+    """Image of a class under the face map, on the canonical face fan,
+    derived from the node alone."""
+    if kind == 0:
+        face, lift, ray = face_zero_data(node.fan, node.n, node.r, i)
+        out = restrict_to_star_quotient(node.fan, (ray,), face, lift, cls)
+    else:
+        out = restrict_slice(node.fan, i - 1, cls)
+    return _canonical_class(out)
 
 
 def _degeneracy_class(node, i, cls):
     """p_i^* of a node class: the external insertion, on the canonical
     inserted fan."""
     out = external_insert(cls, i - 1)
-    return canonical_class(out)
+    return _canonical_class(out)
 
 
 def _check_colimit_cubical_identities(cx, n):
@@ -347,7 +377,7 @@ def _restrict_star_on(quotient, lift, fan, ray, cls):
 
     other, corr = star_quotient(fan, (ray,))
     out = restrict_star(fan, (ray,), cls)
-    to_face = {corr[up]: k for k, up in lift.items()}
+    to_face = {corr[up]: k for k, up in enumerate(lift)}
     gens, _, _ = presentation_data(other, out.q)
     return make_class(
         quotient,
@@ -362,26 +392,59 @@ def _restrict_star_on(quotient, lift, fan, ray, cls):
 
 @pytest.mark.parametrize("n, r, depth", [(2, 0, 1), (2, 1, 1)])
 def test_node_face_maps_match_per_class_restrictions(n, r, depth):
-    from logtoric.chow import make_class, presentation_data, restrict_slice
-    from logtoric.complexes import _face_map, canonical_class
-    from logtoric.sbl import face_zero_data
-
-    diag = enumerate_cnr(n, r, depth)
+    # the face table and _face_matrix, against per-class restrictions: each
+    # generator's image class and the fan of its target node
+    diagrams = [enumerate_cnr(m, r, depth) for m in range(n + 1)]
+    faces = _close_under_faces(diagrams)[n]
+    diag, below = diagrams[n], diagrams[n - 1]
     checked = 0
-    for node in diag.nodes:
+    for q in range(n + r + 1):
+        colim, colim_prev = build_colimit(diag, q), build_colimit(below, q)
+        mapped = []
+        core_of_class = colim_prev.core_of_class
+        colim_prev.core_of_class = lambda idx, cls: (
+            mapped.append((idx, cls)) or core_of_class(idx, cls)
+        )
         for i in range(1, n + 1):
-            quotient, lift, ray = face_zero_data(node.fan, n, r, i)
-            zero_fan, zero_image = _face_map(node, i, 0)
-            one_fan, one_image = _face_map(node, i, 1)
-            for q in range(node.fan.rank + 1):
-                for cone in presentation_data(node.fan, q)[0]:
+            for kind in (0, 1):
+                mapped.clear()
+                _face_matrix(colim, colim_prev, faces, i, kind)
+                assert len(mapped) == len(colim.gens)
+                for (node_idx, cone), (target, got) in zip(colim.gens, mapped):
+                    node = diag.nodes[node_idx]
                     cls = make_class(node.fan, q, {cone: 1})
-                    want0 = _restrict_star_on(quotient, lift, node.fan, ray, cls)
-                    assert (zero_fan, zero_image(cls)) == canonical_class(want0)
-                    want1 = restrict_slice(node.fan, i - 1, cls)
-                    assert (one_fan, one_image(cls)) == canonical_class(want1)
+                    if kind == 0:
+                        quotient, lift, ray = face_zero_data(node.fan, n, r, i)
+                        want = _restrict_star_on(quotient, lift, node.fan, ray, cls)
+                    else:
+                        want = restrict_slice(node.fan, i - 1, cls)
+                    assert (below.nodes[target].fan, got) == _canonical_class(want)
                     checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("reverse_order", [False, True])
+@pytest.mark.parametrize("n, r", [(2, 0), (2, 1), (3, 0)])
+def test_face_fans_of_closed_diagrams_are_canonical(n, r, reverse_order):
+    # the invariant that lets face images skip canonicalisation: both faces
+    # of a canonical node fan come out canonical
+    for depth in (0, 1):
+        diagrams = [
+            enumerate_cnr(m, r, depth, reverse_order=reverse_order)
+            for m in range(n + 1)
+        ]
+        _close_under_faces(diagrams)
+        checked = 0
+        for m, diag in enumerate(diagrams):
+            for node in diag.nodes:
+                assert node.fan == node.fan.canonical()
+                for i in range(1, m + 1):
+                    zero = face_zero_data(node.fan, m, r, i)[0]
+                    one = hyperplane_slice(node.fan, i - 1)
+                    assert zero == zero.canonical()
+                    assert one == one.canonical()
+                    checked += 1
+        assert checked >= n
 
 
 def test_build_complex_derives_face_data_once_per_node(monkeypatch):
@@ -401,7 +464,7 @@ def test_build_complex_derives_face_data_once_per_node(monkeypatch):
     )
     assert distinct > 0
     assert len(set(calls)) == distinct
-    assert len(calls) <= 2 * distinct
+    assert len(calls) == distinct
 
 
 def test_homology_factors_its_relations_once_per_degree(monkeypatch):
