@@ -274,7 +274,7 @@ def map_divisors(cls: ChowClass, target: Fan, divisor_of) -> ChowClass:
     vector on ``target``): each generator cone becomes the product of the
     images of its rays."""
     if cls.q > target.rank:
-        return zero_class(target, target.rank)
+        return zero_class(target, cls.q)
     gens, _, _ = presentation_data(cls.fan, cls.q)
     acc = zero_class(target, cls.q)
     for cone, c in zip(gens, cls.coords):

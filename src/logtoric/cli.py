@@ -33,7 +33,7 @@ from .fans import (
     resolve,
 )
 from .logpairs import LogPairError, is_smlsm, pair_from_json, pair_to_json, smlsmify
-from .monoids import MonoidError
+from .monoids import MonoidError, check_base
 from .sbl import SblError, node_budget
 from .schemes import SchemeError, realize_scheme
 
@@ -165,6 +165,10 @@ def cmd_smlsmify(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    try:
+        check_base(args.base)
+    except MonoidError as exc:
+        raise InputError(f"--base: {exc}") from exc
     fan = _load_fan(args.input)
     atlas = realize_scheme(fan, args.base)
     _emit(

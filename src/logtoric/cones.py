@@ -112,21 +112,29 @@ def _dual_description(rays, ambient):
     return tuple(tuple(v) for v in lines), tuple(tuple(v) for v in drays)
 
 
-@lru_cache(maxsize=None)
-def _canonical_rays(gens, ambient):
-    """Sorted primitive extreme rays of the cone generated by ``gens``.
-
-    Raises if the cone is not strongly convex.
-    """
+def generated_description(gens, ambient):
+    """Sorted (lines, rays) of the cone generated by ``gens``: a basis of
+    its lineality space and its primitive extreme rays modulo lines, by
+    double description of its dual."""
     dlines, drays = _dual_description(gens, ambient)
     ineqs = list(drays)
     for l in dlines:
         ineqs.append(l)
         ineqs.append(tuple(-x for x in l))
     lines, rays = extreme_description(ineqs, ambient)
+    return tuple(sorted(lines)), tuple(sorted(rays))
+
+
+@lru_cache(maxsize=None)
+def _canonical_rays(gens, ambient):
+    """Sorted primitive extreme rays of the cone generated by ``gens``.
+
+    Raises if the cone is not strongly convex.
+    """
+    lines, rays = generated_description(gens, ambient)
     if lines:
         raise ValueError("cone is not strongly convex")
-    return tuple(sorted(tuple(r) for r in rays))
+    return rays
 
 
 @dataclass(frozen=True)

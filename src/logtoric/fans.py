@@ -11,9 +11,11 @@ preserving a chosen common cone).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import gcd, lcm
 
 from .cones import Cone, dot, saturated_span_basis
 from .intlinalg import (
@@ -21,6 +23,7 @@ from .intlinalg import (
     det,
     kernel_basis,
     primitive,
+    smith_normal_form,
     solve_integer,
 )
 
@@ -450,100 +453,41 @@ def fundamental_points(cone: Cone):
     ``{sum lam_i u_i : 0 <= lam_i < 1}`` of a simplicial cone, with their
     coefficient vectors, as sorted (point, lam) pairs.
 
-    Enumerated through the quotient of the saturated span lattice by the
-    ray lattice (order = multiplicity), so the cost is the multiplicity,
-    not a bounding-box scan.
+    With the rays as the columns of ``A`` and ``D = U A V`` its Smith
+    form, ``A lam`` is integral exactly when ``U A lam = D V^-1 lam`` is,
+    that is when ``V^-1 lam`` lies in ``(Z/d_1) x ... x (Z/d_k)``.  So the
+    coefficient vectors are the fractional parts of ``V (z_1/d_1, ...,
+    z_k/d_k)`` for ``0 <= z_i < d_i``: one per element of the quotient of
+    the saturated span by the ray lattice, no bounding-box scan.
     """
-    k = len(cone.rays)
-    basis = saturated_span_basis(cone.rays, cone.ambient)
-    bt = IntMatrix.from_rows(basis).transpose()
-    from .intlinalg import smith_normal_form
-
-    coords = []
-    for r in cone.rays:
-        x = solve_integer(bt, r)
-        coords.append(x)
-    m = IntMatrix.from_rows(coords).transpose()  # basis coords of rays, columns
-    d_mat, u, _ = smith_normal_form(m)
-    diag = list(d_mat.diagonal())
-    if any(x == 0 for x in diag):
+    d_mat, _, v = smith_normal_form(IntMatrix.from_rows(cone.rays).transpose())
+    diag = d_mat.diagonal()
+    if len(diag) < len(cone.rays) or 0 in diag:
         raise FanError("rays not independent")
-    # group = prod Z/diag[i]; residue maps through U^{-1}
-    uinv_cols = []
-    for i in range(k):
-        e = tuple(1 if j == i else 0 for j in range(k))
-        uinv_cols.append(solve_integer(u, e))
-    points = {}
-    import itertools
-
-    inverse = _rational_inverse(coords)
+    # coefficients are multiples of 1/denom; column i of V steps by denom/d_i
+    denom = lcm(*diag)
+    scaled = [[x * (denom // d) for x, d in zip(row, diag)] for row in v.entries]
+    points = []
     for residue in itertools.product(*[range(d) for d in diag]):
-        if all(x == 0 for x in residue):
+        if not any(residue):
             continue
-        y = [0] * k
-        for i, ri in enumerate(residue):
-            if ri:
-                for j in range(k):
-                    y[j] += ri * uinv_cols[i][j]
-        # y in basis coordinates; express over the rays, reduce into [0,1)^k
-        lam = _rational_solve(coords, y, inverse)
-        frac = [x - x.__floor__() for x in lam]
-        pt = [0] * cone.ambient
-        for i, f in enumerate(frac):
-            if f:
-                for j in range(cone.ambient):
-                    pt[j] += f * cone.rays[i][j]
-        pt_int = tuple(int(x) for x in pt)
-        if any(pt_int):
-            points[pt_int] = tuple(frac)
-    return sorted(points.items())
+        nums = [sum(w * z for w, z in zip(row, residue)) % denom for row in scaled]
+        pt = tuple(
+            sum(n * r[a] for n, r in zip(nums, cone.rays)) // denom
+            for a in range(cone.ambient)
+        )
+        points.append((pt, tuple(Fraction(n, denom) for n in nums)))
+    return sorted(points)
 
 
 def _parallelepiped_points(cone: Cone):
     """Primitive nonzero fundamental-parallelepiped points of a simplicial
-    cone, as sorted (point, coefficient) pairs; resolution centers."""
-    basis = saturated_span_basis(cone.rays, cone.ambient)
-    bt = IntMatrix.from_rows(basis).transpose()
-    coords = [solve_integer(bt, r) for r in cone.rays]
-    out = []
-    seen = set()
-    for pt, _ in fundamental_points(cone):
-        p = primitive(pt)
-        if p in seen:
-            continue
-        lam = _rational_solve(coords, solve_integer(bt, p))
-        if all(0 <= x < 1 for x in lam):
-            seen.add(p)
-            out.append((p, tuple(lam)))
-    return sorted(out)
+    cone, as sorted (point, coefficient) pairs; resolution centers.
 
-
-def _rational_inverse(rows):
-    """Inverse of rows^T over Q (square, invertible)."""
-    n = len(rows)
-    a = [[Fraction(rows[j][i]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        inv[col] = [x / d for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return inv
-
-
-def _rational_solve(rows, target, inverse=None):
-    """Solve (rows^T) x = target over Q; rows are the span coordinates of
-    the cone's rays, so the system is square and invertible."""
-    if inverse is None:
-        inverse = _rational_inverse(rows)
-    return [sum(row[i] * target[i] for i in range(len(target))) for row in inverse]
+    A point ``p`` with gcd ``g`` has the parallelepiped point ``p/g``
+    (coefficients ``lam/g``), so the primitive ones are those of gcd 1.
+    """
+    return [(pt, lam) for pt, lam in fundamental_points(cone) if gcd(*pt) == 1]
 
 
 def resolve(fan: Fan):
@@ -745,8 +689,6 @@ def star_quotient(fan: Fan, sigma_indices) -> tuple:
     if d == 0:
         return fan, {i: i for i in range(len(fan.rays))}
     # projection N -> N / N_sigma via the last rows of the SNF transform
-    from .intlinalg import smith_normal_form
-
     m = IntMatrix.from_rows(sigma.rays).transpose()  # rank x d
     _, u, _ = smith_normal_form(m)
     proj_rows = [u.row(i) for i in range(d, fan.rank)]
@@ -792,12 +734,8 @@ def hyperplane_slice(fan: Fan, coord: int) -> Fan:
     in the rank-(n-1) lattice obtained by dropping that coordinate."""
     if not 0 <= coord < fan.rank:
         raise FanError("coordinate out of range")
-    keep = [i for i, r in enumerate(fan.rays) if r[coord] == 0]
-    keep_set = set(keep)
-    sliced = []
-    for idx in fan.all_cone_indices():
-        if set(idx) <= keep_set:
-            sliced.append(idx)
+    keep = {i for i, r in enumerate(fan.rays) if r[coord] == 0}
+    sliced = [idx for idx in fan.all_cone_indices() if set(idx) <= keep]
     maximal = [
         c for c in sliced if not any(set(c) < set(d) for d in sliced)
     ]
@@ -805,12 +743,6 @@ def hyperplane_slice(fan: Fan, coord: int) -> Fan:
     def drop(vec):
         return tuple(x for i, x in enumerate(vec) if i != coord)
 
-    new_rays = []
-    remap = {}
-    for i in keep:
-        v = drop(fan.rays[i])
-        remap[i] = len(new_rays)
-        new_rays.append(v)
     used = sorted({i for c in maximal for i in c})
     final_rays = [drop(fan.rays[i]) for i in used]
     remap = {old: new for new, old in enumerate(used)}

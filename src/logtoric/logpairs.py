@@ -20,6 +20,7 @@ from .fans import (
     p1_power,
     resolve,
     standard_fan,
+    star_quotient,
     star_subdivide,
     star_subdivide_at_point,
 )
@@ -120,14 +121,7 @@ def is_smlsm(pair: LogFanPair) -> bool:
     """Every fan cone outside the open part has a ray outside it."""
     if not is_smooth(pair.fan):
         raise LogPairError("SmlSm requires smooth fan")
-    opens = pair.open_cone_set()
-    interior = set(pair.interior_ray_indices())
-    for idx in pair.fan.all_cone_indices():
-        if idx in opens:
-            continue
-        if all(i in interior for i in idx):
-            return False
-    return True
+    return not alpha_set(pair)
 
 
 def hom_exists(underlying, src: LogFanPair, dst: LogFanPair) -> bool:
@@ -159,7 +153,7 @@ def hom_exists(underlying, src: LogFanPair, dst: LogFanPair) -> bool:
         # V(tau) -> Sigma hits only cones containing tau; the open part of
         # the source maps into the open part iff for every open source
         # cone, the corresponding cone of Sigma (its preimage star) is open
-        fan, corr = _star_quotient_with_corr(underlying)
+        fan, corr = star_quotient(underlying.target, underlying.tau)
         inv = {v: k for k, v in corr.items()}
         tau = tuple(sorted(underlying.tau))
         for c in src.open_cones:
@@ -168,12 +162,6 @@ def hom_exists(underlying, src: LogFanPair, dst: LogFanPair) -> bool:
                 return False
         return True
     raise LogPairError(f"unsupported underlying morphism {type(underlying).__name__}")
-
-
-def _star_quotient_with_corr(m: StarQuotientMap):
-    from .fans import star_quotient
-
-    return star_quotient(m.target, m.tau)
 
 
 def sharpen(pair: LogFanPair) -> LogFanPair:
@@ -471,8 +459,9 @@ def pair_to_json(pair: LogFanPair) -> dict:
 
     data = fan_to_json(pair.fan)
     interior = set(pair.interior_ray_indices())
+    opens = pair.open_cone_set()
     if all(
-        tuple(sorted(c)) in pair.open_cone_set()
+        tuple(sorted(c)) in opens
         for c in pair.fan.all_cone_indices()
         if not (set(c) - interior)
     ):

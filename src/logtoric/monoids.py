@@ -11,8 +11,10 @@ Hilbert basis.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from .cones import Cone, dot, extreme_description
+
+from .cones import Cone, _dual_description, dot, generated_description
 from .fans import _triangulate, fundamental_points
 from .intlinalg import (
     IntMatrix,
@@ -26,26 +28,6 @@ from .intlinalg import (
 
 class MonoidError(ValueError):
     pass
-
-
-def _dual_of_generated(gens, ambient):
-    """(lines, rays) of the dual of the cone generated by ``gens``."""
-    return extreme_description(list(gens), ambient)
-
-
-def _minimal_description(gens, ambient):
-    """(lines, rays) canonical description of the cone generated by ``gens``
-    (lines = lineality basis, rays = extreme rays mod lineality)."""
-    dlines, drays = _dual_of_generated(gens, ambient)
-    ineqs = list(drays)
-    for l in dlines:
-        ineqs.append(tuple(l))
-        ineqs.append(tuple(-x for x in l))
-    lines, rays = extreme_description(ineqs, ambient)
-    return (
-        tuple(sorted(tuple(l) for l in lines)),
-        tuple(sorted(tuple(r) for r in rays)),
-    )
 
 
 @dataclass(frozen=True)
@@ -67,7 +49,7 @@ class ToricMonoid:
             if len(g) != rank:
                 raise MonoidError("generator length differs from rank")
         gens = [g for g in gens if any(g)]
-        lines, rays = _minimal_description(gens, rank)
+        lines, rays = generated_description(tuple(gens), rank)
         return ToricMonoid(rank, lines, rays)
 
     @staticmethod
@@ -94,7 +76,7 @@ class ToricMonoid:
         return out
 
     def dual_description(self):
-        return _dual_of_generated(self.generators_of_cone(), self.rank)
+        return _dual_description(tuple(self.generators_of_cone()), self.rank)
 
     def contains(self, x) -> bool:
         x = tuple(int(v) for v in x)
@@ -255,7 +237,7 @@ def primes(a: PointedMonoid):
             face_gens = tuple(
                 g for g in gens if all(dot(w, g) == 0 for w in tight)
             )
-            key = _minimal_description(list(face_gens), m.rank)
+            key = generated_description(face_gens, m.rank)
             if key not in seen:
                 seen[key] = PrimeFace(a, face_gens)
     return sorted(seen.values(), key=lambda p: (len(p.face_gens), p.face_gens))
@@ -296,13 +278,19 @@ def _monomial(names, exps):
     return {names[i]: int(e) for i, e in enumerate(exps) if e}
 
 
+def check_base(base: str) -> None:
+    """Accept the base rings ``Z``, ``k`` and ``Z/m`` for a decimal m >= 2."""
+    m = re.fullmatch(r"Z/([0-9]+)", base)
+    if base not in ("Z", "k") and not (m and int(m.group(1)) >= 2):
+        raise MonoidError(f"unsupported base ring {base!r}")
+
+
 def realize(a: PointedMonoid, base: str = "Z") -> dict:
     """Presentation of the realization A ⊗ R as a quotient of a
     polynomial ring: one variable per Hilbert-basis generator, binomial
     relations from a lattice basis of the additive relations.
     """
-    if base not in ("Z",) and not base.startswith("Z/") and base != "k":
-        raise MonoidError(f"unsupported base ring {base!r}")
+    check_base(base)
     gens = list(a.monoid.hilbert_basis())
     names = [f"x{i}" for i in range(len(gens))]
     relations = []

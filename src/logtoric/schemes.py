@@ -119,14 +119,13 @@ def _flatten_to_matrix(m) -> tuple:
     if isinstance(m, (list, tuple)):
         if not m:
             raise SchemeError("empty composite")
-        src, _, mat = _flatten_to_matrix(m[0])
-        cur_target = None
+        src, target, mat = _flatten_to_matrix(m[0])
         for piece in m[1:]:
             s2, t2, m2 = _flatten_to_matrix(piece)
-            mat = m2 @ mat
-            cur_target = t2
-        _, outer_target, _ = _flatten_to_matrix(m[-1])
-        return src, outer_target, mat
+            if s2 != target:
+                raise SchemeError("composition mismatch")
+            target, mat = t2, m2 @ mat
+        return src, target, mat
     raise SchemeError(f"not a lattice-map morphism: {type(m).__name__}")
 
 
@@ -179,12 +178,7 @@ def scheme_image(m):
             )
             if not preimage_nonempty:
                 continue
-            lines, rays = m.target.cone(mc).dual()
-            gens = list(rays)
-            for l in lines:
-                gens.append(tuple(l))
-                gens.append(tuple(-x for x in l))
-            dual_monoid = ToricMonoid.from_gens(gens, m.target.rank)
+            dual_monoid = _dual_monoid(m.target, mc).monoid
             charts[mc] = sorted(
                 {tuple(mt.apply(g)) for g in dual_monoid.hilbert_basis()}
             )

@@ -194,6 +194,14 @@ def test_restrict_slice_square():
     assert u.coords == (1,)
 
 
+def test_restrict_slice_keeps_the_degree_above_the_slice_rank():
+    point = make_class(SQ, 2, {SQ.maximal_cones[0]: 1})
+    down = restrict_slice(SQ, 0, point)
+    assert down.fan.rank == 1
+    assert down.q == 2
+    assert down.is_zero()
+
+
 def test_restrict_slice_incomplete_error():
     bl = blowup_of_square()
     # slicing the blow-up at coordinate 2 keeps only rays with y = 0:

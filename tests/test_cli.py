@@ -105,6 +105,23 @@ def test_realize_cli_deterministic(tmp_path, capsys):
     assert atlas["gluing"][0]["invert_in_first"] == [1]
 
 
+@pytest.mark.parametrize("base", ["Z", "k", "Z/2", "Z/12"])
+def test_realize_cli_accepts_base(tmp_path, capsys, base):
+    path = write_fan(tmp_path, standard_fan("P^n", 1))
+    code, out = run(capsys, "realize", path, "--base", base)
+    assert code == 0
+    assert json.loads(out)["atlas"]["base"] == base
+
+
+@pytest.mark.parametrize("base", ["Z/abc", "Z/0", "Z/1", "Z/-3", "Z/", "Q", "z", ""])
+def test_realize_cli_rejects_base_before_reading_input(tmp_path, capsys, base):
+    missing = str(tmp_path / "missing.json")
+    code = main(["realize", missing, "--base", base])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: --base:")
+
+
 def test_chow_cli(tmp_path, capsys):
     path = write_fan(tmp_path, standard_fan("P^n", 2))
     code, out = run(capsys, "chow", path, "--q", "1")

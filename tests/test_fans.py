@@ -1,4 +1,9 @@
+import hashlib
+import itertools
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,9 +11,11 @@ from logtoric.cones import Cone
 from logtoric.fans import (
     Fan,
     FanError,
+    _parallelepiped_points,
     crosses,
     fan_from_json,
     fan_to_json,
+    fundamental_points,
     hyperplane_slice,
     is_complete,
     is_partial_subdivision,
@@ -25,6 +32,7 @@ from logtoric.fans import (
     star_subdivide,
     support_equal,
 )
+from logtoric.intlinalg import primitive
 
 
 def fan2(*ray_cones):
@@ -301,12 +309,13 @@ def test_json_roundtrip():
         fan_from_json({"rank": 2, "rays": [[2, 0]], "maximal_cones": [[0]]})
 
 
-def _random_simplicial_fan(rng, rank):
-    """A fan made of one or two random simplicial cones sharing a face."""
+def _random_simplicial_fan(rng, rank, bound=5):
+    """A fan of one random full-dimensional simplicial cone, with ray
+    entries in ``[-bound, bound]``."""
     while True:
         rays = set()
         while len(rays) < rank:
-            v = tuple(rng.randint(-5, 5) for _ in range(rank))
+            v = tuple(rng.randint(-bound, bound) for _ in range(rank))
             if any(v):
                 from logtoric.intlinalg import primitive
 
@@ -493,3 +502,110 @@ def test_cone_indices_of_dim_matches_cone_dimensions(fan):
     all_cones = fan.all_cone_indices()
     for d in range(fan.rank + 2):
         assert fan.cone_indices_of_dim(d) == [c for c in all_cones if fan.cone(c).dim == d]
+
+
+# -- parallelepiped points against a bounding-box scan ----------------------
+
+
+def _rational_coordinates(rays, ambient):
+    """Rows ``R`` over Q with ``R A = [I_k; 0]``, ``A`` the (independent)
+    rays as columns: the first k rows of ``R p`` are the coefficients of
+    ``p`` over the rays, and ``p`` lies in their span iff the rest vanish."""
+    k = len(rays)
+    m = [
+        [Fraction(r[a]) for r in rays] + [Fraction(int(a == b)) for b in range(ambient)]
+        for a in range(ambient)
+    ]
+    for c in range(k):
+        piv = next(i for i in range(c, ambient) if m[i][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(ambient):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [row[k:] for row in m]
+
+
+def _box_scan_points(cone):
+    """{point: coefficients} of the nonzero points of the half-open
+    parallelepiped, by scanning its bounding box."""
+    k, n = len(cone.rays), cone.ambient
+    rows = _rational_coordinates(cone.rays, n)
+    ranges = [
+        range(sum(min(0, r[a]) for r in cone.rays), sum(max(0, r[a]) for r in cone.rays) + 1)
+        for a in range(n)
+    ]
+    out = {}
+    for p in itertools.product(*ranges):
+        vals = [sum(x * y for x, y in zip(row, p)) for row in rows]
+        if any(p) and not any(vals[k:]) and all(0 <= x < 1 for x in vals[:k]):
+            out[p] = tuple(vals[:k])
+    return out
+
+
+def _seeded_simplicial_cones():
+    rng = random.Random(1107)
+    cones = []
+    while len(cones) < 60:
+        ambient = 2 + len(cones) % 3
+        k = rng.randint(1, ambient)
+        bound = {2: 5, 3: 3, 4: 2}[ambient]
+        rays = [tuple(rng.randint(-bound, bound) for _ in range(ambient)) for _ in range(k)]
+        if not all(any(r) for r in rays):
+            continue
+        try:
+            cone = Cone.make(rays, ambient)
+        except ValueError:
+            continue
+        if cone.is_simplicial():
+            cones.append(cone)
+    return cones
+
+
+def test_fundamental_points_match_a_bounding_box_scan():
+    cones = _seeded_simplicial_cones()
+    assert any(len(c.rays) < c.ambient for c in cones)
+    assert any(c.multiplicity() > 5 for c in cones)
+    for cone in cones:
+        scan = _box_scan_points(cone)
+        assert fundamental_points(cone) == sorted(scan.items())
+        assert len(scan) == cone.multiplicity() - 1
+        # the primitive resolution centers: primitive images of the points
+        primitive_points = {primitive(p) for p in scan}
+        assert _parallelepiped_points(cone) == sorted((p, scan[p]) for p in primitive_points)
+
+
+# -- resolve golden -------------------------------------------------------------
+
+
+def _resolve_golden_fans():
+    rng = random.Random(2026)
+    fans = []
+    for rank, count, bound in ((2, 8, 7), (3, 8, 3), (4, 2, 2)):
+        fans += [_random_simplicial_fan(rng, rank, bound) for _ in range(count)]
+    # a non-simplicial cone, two complete weighted projective spaces, large
+    # multiplicities and cones of lower dimension than the lattice
+    fans.append(Fan.make(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)]))
+    fans.append(Fan.make(2, [(1, 0), (0, 1), (-2, -3)], [(0, 1), (1, 2), (0, 2)]))
+    fans.append(Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -2, -3)],
+                         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]))
+    fans.append(Fan.make(2, [(1, 0), (7, 23)], [(0, 1)]))
+    fans.append(Fan.make(3, [(1, 0, 0), (0, 1, 0), (5, 7, 30)], [(0, 1, 2)]))
+    fans.append(Fan.make(3, [(1, 0, 0), (1, 3, 3)], [(0, 1)]))
+    fans.append(Fan.make(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 5, 0)], [(0, 1, 2)]))
+    return fans
+
+
+def test_resolve_matches_golden():
+    golden = json.loads((Path(__file__).parent / "golden" / "resolve_sha256.json").read_text())
+    fans = _resolve_golden_fans()
+    assert [fan_to_json(f) for f in fans] == [row["fan"] for row in golden["rows"]]
+    for fan, row in zip(fans, golden["rows"]):
+        out, steps = resolve(fan)
+        data = {
+            "steps": [[list(s.center), list(s.new_ray)] for s in steps],
+            "fan": fan_to_json(out),
+        }
+        digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+        assert digest == row["sha256"], fan

@@ -174,8 +174,15 @@ def test_realize_smash_adds_generators_unions_relations():
 
 def test_realize_base_rings():
     assert realize(F1N(), "Z/5")["ring"] == "Z/5[x0]"
+    assert realize(F1N(), "k")["ring"] == "k[x0]"
     with pytest.raises(MonoidError):
         realize(F1N(), "Q")
+
+
+@pytest.mark.parametrize("base", ["Z/abc", "Z/0", "Z/1", "Z/-3", "Z/", "Z/5x", "z"])
+def test_realize_rejects_malformed_base(base):
+    with pytest.raises(MonoidError, match="unsupported base ring"):
+        realize(F1N(), base)
 
 
 def test_monoid_ideal():

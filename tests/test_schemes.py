@@ -48,6 +48,15 @@ def test_is_proper_birational_star_subdivision():
     assert is_proper_birational(comp)
 
 
+def test_is_proper_birational_rejects_a_broken_chain():
+    # b -> b then a -> a does not compose: b is not a
+    a = p1_power(2)
+    b, _ = star_subdivide(a, (0, 2))
+    chain = [FanMap(b, b, IntMatrix.identity(2)), FanMap(a, a, IntMatrix.identity(2))]
+    with pytest.raises(SchemeError, match="composition mismatch"):
+        is_proper_birational(chain)
+
+
 def test_is_proper_birational_open_immersion_false():
     sub = Fan.make(2, [(1, 0), (0, 1)], [(0, 1)])
     m = OpenImmersion(sub, p1_power(2))
