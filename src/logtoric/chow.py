@@ -10,11 +10,13 @@ so the function of a ray divisor is -1 on its own ray and 0 on the
 others.
 
 Pullback and the two restrictions are ring maps fixed by where they send
-the ray divisors, so each is ``map_divisors`` applied to a ray -> divisor
-function.  That function depends only on the fans involved, never on the
-class: ``pullback_divisors``, ``star_quotient_divisors`` and
-``slice_divisors`` build it, and the complex builds it once per node
-face and once per refinement edge.
+the ray divisors, so each is ``map_divisors`` applied to a ``DivisorMap``.
+That map depends only on the fans involved, never on the class:
+``pullback_divisors``, ``star_quotient_divisors`` and ``slice_divisors``
+build it, and the complex builds it once per node face and once per
+refinement edge.  The map memoizes the image of each generator cone (the
+product of its rays' divisors, unreduced), and each class image is the
+sum of those images reduced once to the normal form.
 """
 
 from __future__ import annotations
@@ -185,18 +187,25 @@ def _basis_rewrite_character(fan: Fan, sigma, rho):
     return m
 
 
-def multiply_by_divisor(cls: ChowClass, divisor) -> ChowClass:
-    """Product with a degree-1 class given as a ray-coefficient vector.
+def _class_of(fan: Fan, q: int, coords) -> ChowClass:
+    """Class of unreduced coordinates, in the canonical normal form."""
+    _, _, reduction = presentation_data(fan, q)
+    return ChowClass(fan, q, hnf_reduce(coords, reduction))
+
+
+def _times_divisor(fan: Fan, q: int, coords, divisor) -> list:
+    """Unreduced degree-(q + 1) coordinates of the product of a degree-q
+    coordinate vector with a degree-1 class given as a ray-coefficient
+    vector.
 
     Uses Stanley-Reisner rewriting: x_rho [V(sigma)] is [V(sigma+rho)]
     when the join is a cone, 0 when rho and sigma span no cone, and a
-    linear-relation rewrite when rho is a ray of sigma.
+    linear-relation rewrite when rho is a ray of sigma.  Multiplication
+    by a divisor is well defined on classes, so any representative of
+    the input gives a representative of the product.
     """
-    fan = cls.fan
-    if cls.q + 1 > fan.rank:
-        return zero_class(fan, cls.q + 1)
-    gens, _, _ = presentation_data(fan, cls.q)
-    out_gens, _, out_reduction = presentation_data(fan, cls.q + 1)
+    gens, _, _ = presentation_data(fan, q)
+    out_gens, _, _ = presentation_data(fan, q + 1)
     out_pos = {c: i for i, c in enumerate(out_gens)}
     acc = [0] * len(out_gens)
 
@@ -219,21 +228,37 @@ def multiply_by_divisor(cls: ChowClass, divisor) -> ChowClass:
             if c2:
                 add_term(sigma, other, coeff * c2)
 
-    for cone, c in zip(gens, cls.coords):
+    for cone, c in zip(gens, coords):
         if c == 0:
             continue
         for rho, d in enumerate(divisor):
             if d:
                 add_term(cone, rho, c * d)
-    return ChowClass(fan, cls.q + 1, hnf_reduce(acc, out_reduction))
+    return acc
+
+
+def _divisor_product(fan: Fan, divisors) -> list:
+    """Unreduced coordinates of the product of degree-1 classes
+    (ray-coefficient vectors), in degree ``len(divisors)``."""
+    if len(divisors) > fan.rank:
+        return []
+    coords = [1]  # the unit: CH^0 has the one generator () and no relations
+    for q, d in enumerate(divisors):
+        coords = _times_divisor(fan, q, coords, d)
+    return coords
+
+
+def multiply_by_divisor(cls: ChowClass, divisor) -> ChowClass:
+    """Product with a degree-1 class given as a ray-coefficient vector."""
+    fan = cls.fan
+    if cls.q + 1 > fan.rank:
+        return zero_class(fan, cls.q + 1)
+    return _class_of(fan, cls.q + 1, _times_divisor(fan, cls.q, cls.coords, divisor))
 
 
 def class_from_divisor_product(fan: Fan, divisors) -> ChowClass:
     """Product of degree-1 classes (ray-coefficient vectors)."""
-    cls = unit_class(fan)
-    for d in divisors:
-        cls = multiply_by_divisor(cls, d)
-    return cls
+    return _class_of(fan, len(divisors), _divisor_product(fan, divisors))
 
 
 # -- support functions ---------------------------------------------------------
@@ -268,27 +293,51 @@ def support_function(fan: Fan, ray_index: int):
 # -- the four structure maps ----------------------------------------------------
 
 
-def map_divisors(cls: ChowClass, target: Fan, divisor_of) -> ChowClass:
-    """Image of ``cls`` under the ring map into CH(target) that sends the
-    ray divisor of ``rho`` to ``divisor_of(rho)`` (a ray-coefficient
-    vector on ``target``): each generator cone becomes the product of the
-    images of its rays."""
-    if cls.q > target.rank:
-        return zero_class(target, cls.q)
+class DivisorMap:
+    """A ring map into CH(target), fixed by where it sends the ray
+    divisors: ``divisor_of(rho)`` is the image of the divisor of ``rho``,
+    a ray-coefficient vector on ``target``.
+
+    ``image(cone)`` is the unreduced product of the images of the cone's
+    rays.  It is formed on first use and kept by the map, so an edge or a
+    face forms each generator's image once, however many classes it maps.
+    """
+
+    def __init__(self, target: Fan, divisor_of):
+        self.target = target
+        self.divisor_of = divisor_of
+        self._images = {}
+
+    def image(self, cone):
+        """Nonzero (target generator index, coefficient) pairs."""
+        out = self._images.get(cone)
+        if out is None:
+            coords = _divisor_product(self.target, [self.divisor_of(r) for r in cone])
+            out = self._images[cone] = tuple((k, x) for k, x in enumerate(coords) if x)
+        return out
+
+
+def map_divisors(cls: ChowClass, divisors: DivisorMap) -> ChowClass:
+    """Image of ``cls`` under the ring map ``divisors``: each generator
+    cone becomes the product of the images of its rays.  The images are
+    summed unreduced and the sum is reduced once; the map is well
+    defined on classes, so the normal form does not depend on the
+    representatives."""
+    target = divisors.target
     gens, _, _ = presentation_data(cls.fan, cls.q)
-    acc = zero_class(target, cls.q)
+    out_gens, _, reduction = presentation_data(target, cls.q)
+    acc = [0] * len(out_gens)
     for cone, c in zip(gens, cls.coords):
-        if c == 0:
-            continue
-        term = class_from_divisor_product(target, [divisor_of(r) for r in cone])
-        acc = add(acc, scale(term, c))
-    return acc
+        if c:
+            for k, x in divisors.image(cone):
+                acc[k] += c * x
+    return ChowClass(target, cls.q, hnf_reduce(acc, reduction))
 
 
 def pullback_divisors(source: Fan, target: Fan):
     """Target ray -> its pulled-back divisor, along a subdivision
     source -> target.  Each divisor is derived on first use and kept by
-    the returned function.
+    the returned map.
 
     The coefficient of a source ray r in the pullback of the divisor of
     rho is -psi_rho(r).  Each source ray is located once, in the target
@@ -312,7 +361,7 @@ def pullback_divisors(source: Fan, target: Fan):
         data = support_function(target, rho)
         return tuple(-dot(data[home[k]], u) for k, u in enumerate(source.rays))
 
-    return divisor_of
+    return DivisorMap(source, divisor_of)
 
 
 def pullback_subdivision(
@@ -327,7 +376,7 @@ def pullback_subdivision(
         raise ChowError("class does not live on the target")
     if divisor_of is None:
         divisor_of = pullback_divisors(source, target)
-    return map_divisors(cls, source, divisor_of)
+    return map_divisors(cls, divisor_of)
 
 
 def star_quotient_divisors(fan: Fan, tau, quotient: Fan, lift):
@@ -356,7 +405,7 @@ def star_quotient_divisors(fan: Fan, tau, quotient: Fan, lift):
             for up, mc in zip(lifts, homes)
         )
 
-    return divisor_of
+    return DivisorMap(quotient, divisor_of)
 
 
 def restrict_to_star_quotient(
@@ -372,7 +421,7 @@ def restrict_to_star_quotient(
         raise ChowError("class does not live on the fan")
     if divisor_of is None:
         divisor_of = star_quotient_divisors(fan, tau, quotient, lift)
-    return map_divisors(cls, quotient, divisor_of)
+    return map_divisors(cls, divisor_of)
 
 
 def restrict_star(fan: Fan, tau, cls: ChowClass) -> ChowClass:
@@ -385,9 +434,13 @@ def restrict_star(fan: Fan, tau, cls: ChowClass) -> ChowClass:
 
 def slice_divisors(fan: Fan, coord: int, sliced: Fan):
     """Ray of the fan -> restriction of its divisor to the hyperplane
-    slice: a ray divisor restricts to its own class when the ray lies in
-    the hyperplane and to zero otherwise (the support function of x_rho
-    takes value -delta on rays)."""
+    slice ``sliced``, which must be smooth and complete in its
+    hyperplane: a ray divisor restricts to its own class when the ray
+    lies in the hyperplane and to zero otherwise (the support function
+    of x_rho takes value -delta on rays)."""
+    if not is_complete(sliced):
+        raise ChowError("slice is not complete in its hyperplane")
+    _check_smooth_complete(sliced)
     slice_index = {r: i for i, r in enumerate(sliced.rays)}
     out = []
     for u in fan.rays:
@@ -396,25 +449,21 @@ def slice_divisors(fan: Fan, coord: int, sliced: Fan):
         if u[coord] == 0 and dropped in slice_index:
             coeffs[slice_index[dropped]] = 1
         out.append(tuple(coeffs))
-    return tuple(out).__getitem__
+    return DivisorMap(sliced, tuple(out).__getitem__)
 
 
 def restrict_slice(fan: Fan, coord: int, cls: ChowClass, divisor_of=None) -> ChowClass:
     """Restriction to the hyperplane slice.
 
     ``divisor_of`` is ``slice_divisors(fan, coord, hyperplane_slice(fan,
-    coord))``; callers that restrict many classes of one fan derive it
-    once.
+    coord))``, which also checks the slice; callers that restrict many
+    classes of one fan derive it once.
     """
     if cls.fan != fan:
         raise ChowError("class does not live on the fan")
-    sliced = hyperplane_slice(fan, coord)
-    if not is_complete(sliced):
-        raise ChowError("slice is not complete in its hyperplane")
-    _check_smooth_complete(sliced)
     if divisor_of is None:
-        divisor_of = slice_divisors(fan, coord, sliced)
-    return map_divisors(cls, sliced, divisor_of)
+        divisor_of = slice_divisors(fan, coord, hyperplane_slice(fan, coord))
+    return map_divisors(cls, divisor_of)
 
 
 def external_insert(cls: ChowClass, position: int) -> ChowClass:

@@ -14,7 +14,8 @@ target node one degree down, and for a zero face the ray e_i and the
 lift).  ``_face_matrix`` reads that table and builds each node's
 restricted ray divisors once per face index and kind; the pulled-back
 ray divisors are built once per refinement edge.  Every generator of
-that node or edge is then mapped through them.
+that node or edge is then mapped through them; each such map forms the
+image of a generator cone once and reduces each class image once.
 """
 
 from __future__ import annotations

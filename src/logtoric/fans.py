@@ -390,16 +390,26 @@ def covers(target_cone: Cone, pieces) -> bool:
 
 
 def subdivision_witness(source: Fan, target: Fan):
-    """Map each source maximal cone to a containing target maximal cone,
-    or None if some cone has no container (then source is not even a
-    partial subdivision of target)."""
+    """Map each source maximal cone to the first target maximal cone that
+    contains it, or None if some cone has no container (then source is
+    not even a partial subdivision of target).
+
+    A target cone contains a source cone when it holds each of its rays;
+    each (target cone, source ray) membership is tested once, not once
+    per source cone through the ray."""
     if source.rank != target.rank:
         return None
     tcones = target.maximal()
+
+    @cache  # local to this call
+    def contains(j, k):
+        return tcones[j].contains_point(source.rays[k])
+
     witness = []
     for mc in source.maximal_cones:
-        c = source.cone(mc)
-        hit = next((j for j, t in enumerate(tcones) if t.contains_cone(c)), None)
+        hit = next(
+            (j for j in range(len(tcones)) if all(contains(j, k) for k in mc)), None
+        )
         if hit is None:
             return None
         witness.append(hit)

@@ -138,11 +138,12 @@ class CnrDiagram:
         (transitive reduction of the refinement relation)."""
         full = set(self.parent_edges)
         nodes = self.nodes
+        rays = [set(node.fan.rays) for node in nodes]
         for i in range(len(nodes)):
             for j in range(len(nodes)):
                 if i == j or (i, j) in full:
                     continue
-                if set(nodes[j].fan.rays) <= set(nodes[i].fan.rays):
+                if rays[j] <= rays[i]:
                     if subdivision_witness(nodes[i].fan, nodes[j].fan) is not None:
                         full.add((i, j))
         reduced = set(full)

@@ -16,10 +16,12 @@ from logtoric.chow import (
     restrict_slice,
     restrict_star,
     scale,
+    slice_divisors,
     unit_class,
 )
 from logtoric.fans import (
     Fan,
+    hyperplane_slice,
     p1_power,
     standard_fan,
     star_subdivide,
@@ -209,6 +211,12 @@ def test_restrict_slice_incomplete_error():
     fan = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ChowError):
         restrict_slice(fan, 0, unit_class(fan))
+
+
+def test_slice_divisors_checks_the_slice():
+    fan = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ChowError):
+        slice_divisors(fan, 0, hyperplane_slice(fan, 0))
 
 
 def test_external_insert_and_slice_inverse():

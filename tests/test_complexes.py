@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from logtoric.chow import (
@@ -421,6 +423,93 @@ def test_node_face_maps_match_per_class_restrictions(n, r, depth):
                     assert (below.nodes[target].fan, got) == _canonical_class(want)
                     checked += 1
     assert checked > 50
+
+
+def _structure_maps(n, r, depth):
+    """(fan of the classes it maps, divisor map) for every refinement
+    edge, star face and slice of ``enumerate_cnr(n, r, depth)``, each map
+    freshly built."""
+    from logtoric.chow import pullback_divisors, slice_divisors, star_quotient_divisors
+
+    diag = enumerate_cnr(n, r, depth)
+    maps = []
+    for child, parent in diag.refinement_edges():
+        source, target = diag.nodes[child].fan, diag.nodes[parent].fan
+        maps.append((target, pullback_divisors(source, target)))
+    for node in diag.nodes:
+        fan = node.fan
+        for i in range(1, n + 1):
+            quotient, lift, ray = face_zero_data(fan, n, r, i)
+            maps.append((fan, star_quotient_divisors(fan, (ray,), quotient, lift)))
+            maps.append((fan, slice_divisors(fan, i - 1, hyperplane_slice(fan, i - 1))))
+    return maps
+
+
+def _seeded_classes(rng, fan, q, count=2):
+    """Random classes of CH^q(fan) with coefficients in [-3, 3]."""
+    gens = presentation_data(fan, q)[0]
+    return [
+        make_class(fan, q, {cone: rng.randint(-3, 3) for cone in gens})
+        for _ in range(count)
+    ]
+
+
+def _map_reducing_every_term(cls, divisors):
+    """The image of ``cls`` with every product, term and partial sum
+    reduced to the normal form as it is formed."""
+    from logtoric.chow import add, multiply_by_divisor, scale, unit_class, zero_class
+
+    target = divisors.target
+    acc = zero_class(target, cls.q)
+    for cone, c in zip(presentation_data(cls.fan, cls.q)[0], cls.coords):
+        if c:
+            term = unit_class(target)
+            for ray in cone:
+                term = multiply_by_divisor(term, divisors.divisor_of(ray))
+            acc = add(acc, scale(term, c))
+    return acc
+
+
+@pytest.mark.parametrize("n, r, depth", [(2, 0, 2), (2, 1, 1)])
+def test_map_divisors_matches_reduction_after_every_term(n, r, depth):
+    from logtoric.chow import map_divisors
+
+    rng = random.Random(808 + 10 * r + depth)
+    checked = 0
+    for fan, divisors in _structure_maps(n, r, depth):
+        for q in range(fan.rank + 1):
+            for cls in _seeded_classes(rng, fan, q):
+                assert map_divisors(cls, divisors) == _map_reducing_every_term(
+                    cls, divisors
+                )
+                checked += 1
+    assert checked > 200
+
+
+def test_map_divisors_forms_each_generator_image_once(monkeypatch):
+    import logtoric.chow as chow
+
+    formed = []
+    product = chow._divisor_product
+
+    def counted(fan, divisors):
+        formed.append(fan)
+        return product(fan, divisors)
+
+    monkeypatch.setattr(chow, "_divisor_product", counted)
+    rng = random.Random(909)
+    needed = 0
+    for fan, divisors in _structure_maps(2, 0, 1):
+        cones = set()
+        for q in range(fan.rank + 1):
+            classes = _seeded_classes(rng, fan, q, count=3)
+            gens = presentation_data(fan, q)[0]
+            for cls in classes + classes:  # every class mapped twice
+                chow.map_divisors(cls, divisors)
+                cones.update(cone for cone, c in zip(gens, cls.coords) if c)
+        needed += len(cones)
+    assert needed > 50
+    assert len(formed) == needed
 
 
 @pytest.mark.parametrize("reverse_order", [False, True])

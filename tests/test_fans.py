@@ -30,6 +30,7 @@ from logtoric.fans import (
     standard_fan,
     star_quotient,
     star_subdivide,
+    subdivision_witness,
     support_equal,
 )
 from logtoric.intlinalg import primitive
@@ -502,6 +503,44 @@ def test_cone_indices_of_dim_matches_cone_dimensions(fan):
     all_cones = fan.all_cone_indices()
     for d in range(fan.rank + 2):
         assert fan.cone_indices_of_dim(d) == [c for c in all_cones if fan.cone(c).dim == d]
+
+
+def _witness_by_scan(source, target):
+    """``subdivision_witness`` as first written: one ``contains_cone`` per
+    (source cone, target cone) pair, first hit in target order."""
+    if source.rank != target.rank:
+        return None
+    tcones = target.maximal()
+    witness = []
+    for mc in source.maximal_cones:
+        c = source.cone(mc)
+        hit = next((j for j, t in enumerate(tcones) if t.contains_cone(c)), None)
+        if hit is None:
+            return None
+        witness.append(hit)
+    return tuple(witness)
+
+
+def test_subdivision_witness_matches_containment_scan():
+    # seeded towers of star subdivisions over (P^1)^3: every later stage
+    # subdivides every earlier one, and no earlier stage subdivides a later
+    rng = random.Random(707)
+    found = missing = 0
+    for _ in range(6):
+        tower = [p1_power(3)]
+        for _ in range(rng.randint(2, 4)):
+            fan = tower[-1]
+            centers = [c for c in fan.all_cone_indices() if len(c) >= 2]
+            tower.append(star_subdivide(fan, centers[rng.randrange(len(centers))])[0])
+        for source, target in itertools.permutations(tower, 2):
+            want = _witness_by_scan(source, target)
+            assert subdivision_witness(source, target) == want
+            found += want is not None
+            missing += want is None
+    # P^3 has a cone through (-1, -1, -1) that no octant contains
+    assert _witness_by_scan(standard_fan("P^n", 3), p1_power(3)) is None
+    assert subdivision_witness(standard_fan("P^n", 3), p1_power(3)) is None
+    assert found > 20 and missing > 20
 
 
 # -- parallelepiped points against a bounding-box scan ----------------------
