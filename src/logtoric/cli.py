@@ -80,8 +80,11 @@ def _provenance(args, command):
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -129,10 +132,24 @@ def cmd_resolve(args) -> int:
     return 0
 
 
+def _parse_eta(text, n_rays):
+    """``--eta``: comma-separated indices of rays of the first fan."""
+    if not text:
+        return ()
+    try:
+        eta = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InputError(f"--eta: expected comma-separated ray indices, got {text!r}") from None
+    for i in eta:
+        if not 0 <= i < n_rays:
+            raise InputError(f"--eta: ray index {i} is not in 0..{n_rays - 1}")
+    return eta
+
+
 def cmd_refine(args) -> int:
     sigma = _load_fan(args.sigma)
     delta = _load_fan(args.delta)
-    eta = tuple(int(x) for x in args.eta.split(",")) if args.eta else ()
+    eta = _parse_eta(args.eta, len(sigma.rays))
     out, steps = refine(sigma, delta, eta)
     _emit(
         args,

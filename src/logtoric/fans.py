@@ -7,6 +7,18 @@ subdivisions, never touching already-smooth cones) and ``refine``
 (common refinement of a smooth fan against another fan with the same
 support, using star subdivisions relative to 2-dimensional cones only,
 preserving a chosen common cone).
+
+Smooth kernel: when every maximal cone lists ``rank`` rays with a
+unimodular ray matrix (every blow-up node fan does), the fan keeps one
+integer inverse per maximal cone (``_unimodular_inverses``).  Membership
+is then the sign of the coordinates under that inverse, faces are the
+subsets of the maximal cones, hyperplane slices are the maximal meets of
+the maximal cones with the hyperplane's rays, and a star subdivision at a
+face is the combinatorial split ``sigma - {i} + {v}``.  ``is_smooth``,
+``is_complete``, ``subdivision_witness``, ``star_subdivide`` and
+``hyperplane_slice`` take this path by themselves; every other fan (lower
+dimensional or non-smooth maximal cones, ``resolve`` input) keeps the
+double description of ``cones``, which is also the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -14,8 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial, reduce
 from math import gcd, lcm
+from operator import and_, mul
 
 from .cones import Cone, dot, saturated_span_basis
 from .intlinalg import (
@@ -151,17 +164,79 @@ def _validate_once(fan: Fan) -> None:
     fan.validate()
 
 
+@lru_cache(maxsize=1024)
+def _unimodular_inverses(fan: Fan):
+    """The smooth kernel's table: per maximal cone, the inverse of its ray
+    matrix as the dual basis ``(w_1, ..., w_rank)``, ``w_k . ray_i = [k ==
+    i]`` in the cone's index order.  None unless every maximal cone lists
+    ``rank`` rays with a unimodular ray matrix.
+
+    With the rays as the rows of ``A`` and ``D = U A V = I`` its Smith
+    form, ``A^-1 = V U`` and the ``w_k`` are its columns.  A point lies in
+    the cone exactly when every ``w_k . x >= 0``: the dual rays of a
+    full-dimensional simplicial cone are positive multiples of the ``w_k``.
+    """
+    n = fan.rank
+    if n == 0 or not fan.maximal_cones:
+        return None
+    table = []
+    for mc in fan.maximal_cones:
+        rows = [fan.rays[i] for i in mc]
+        if len(rows) != n or any(len(r) != n for r in rows):
+            return None
+        d, u, v = smith_normal_form(IntMatrix.from_rows(rows))
+        if any(x != 1 for x in d.diagonal()):
+            return None
+        table.append(tuple(zip(*(v @ u).entries)))
+    return tuple(table)
+
+
+def _in_unimodular(duals, x) -> bool:
+    """Is ``x`` in the cone whose kernel-table entry is ``duals``?"""
+    for w in duals:
+        if sum(map(mul, w, x)) < 0:
+            return False
+    return True
+
+
+def _holders(fan: Fan, cones=None):
+    """``holders(x)``: the maximal cones of ``fan`` that contain the point
+    ``x``, as a bit mask (bit j for cone j), memoized per point.  Each
+    (cone, point) membership is tested once.  ``cones`` is
+    ``fan.maximal()`` when the caller has built it already."""
+    table = _unimodular_inverses(fan)
+    if table is not None:
+        tests = [partial(_in_unimodular, duals) for duals in table]
+    else:
+        tests = [c.contains_point for c in cones or fan.maximal()]
+
+    @cache  # local to the caller
+    def holders(x):
+        return sum(1 << j for j, test in enumerate(tests) if test(x))
+
+    return holders
+
+
 @lru_cache(maxsize=None)
 def _fan_all_cone_indices(fan: Fan):
     """All cones as sorted ray-index tuples ordered by (length, indices),
     and their dimensions read off the face walk, as two parallel tuples
-    (pairs would cost one more tuple per cone of every cached fan)."""
-    out = {(): 0}
-    for mc in fan.maximal_cones:
-        cone = fan.cone(mc)
-        ray_of = {fan.rays[i]: i for i in mc}
-        for f in cone.faces():
-            out[tuple(sorted(ray_of[r] for r in f.rays))] = f.dim
+    (pairs would cost one more tuple per cone of every cached fan).  The
+    faces of a simplicial cone are the subsets of its rays."""
+    if _unimodular_inverses(fan) is not None:
+        out = {
+            face: len(face)
+            for mc in fan.maximal_cones
+            for k in range(len(mc) + 1)
+            for face in itertools.combinations(mc, k)
+        }
+    else:
+        out = {(): 0}
+        for mc in fan.maximal_cones:
+            cone = fan.cone(mc)
+            ray_of = {fan.rays[i]: i for i in mc}
+            for f in cone.faces():
+                out[tuple(sorted(ray_of[r] for r in f.rays))] = f.dim
     cones = sorted(out, key=lambda t: (len(t), t))
     return tuple(cones), tuple(out[c] for c in cones)
 
@@ -169,6 +244,8 @@ def _fan_all_cone_indices(fan: Fan):
 @lru_cache(maxsize=None)
 def is_smooth(fan: Fan) -> bool:
     """Every maximal cone simplicial with unimodular ray matrix."""
+    if _unimodular_inverses(fan) is not None:
+        return True
     return all(c.is_smooth() for c in fan.maximal())
 
 
@@ -185,22 +262,24 @@ def is_complete(fan: Fan) -> bool:
         return False
     if fan.rank == 0:
         return True
-    cones = fan.maximal()
-    if any(c.dim != fan.rank for c in cones):
-        return False
-
-    @cache  # local to this call
-    def contains(j, ray):
-        return cones[j].contains_point(ray)
-
-    for c in cones:
-        for facet in c.facets():
-            count = sum(
-                1 for j in range(len(cones)) if all(contains(j, r) for r in facet.rays)
-            )
-            if count != 2:
-                return False
-    return True
+    cones = None
+    if _unimodular_inverses(fan) is not None:
+        # full-dimensional simplicial: a facet drops one ray
+        facets = (
+            [fan.rays[i] for i in mc if i != skip]
+            for mc in fan.maximal_cones
+            for skip in mc
+        )
+    else:
+        cones = fan.maximal()
+        if any(c.dim != fan.rank for c in cones):
+            return False
+        facets = (facet.rays for c in cones for facet in c.facets())
+    holders = _holders(fan, cones)
+    every = (1 << len(fan.maximal_cones)) - 1
+    return all(
+        reduce(and_, map(holders, facet), every).bit_count() == 2 for facet in facets
+    )
 
 
 def crosses(tau: Cone, fan: Fan) -> bool:
@@ -293,6 +372,40 @@ def _prune_nonmaximal(fan: Fan) -> Fan:
     )
 
 
+def _star_subdivide_unimodular(fan: Fan, center, table):
+    """``star_subdivide`` read off the kernel table, or None to defer to
+    the generic code (and its error messages).
+
+    The sum ``v`` of part of a lattice basis is primitive, has coordinate
+    1 on each center ray and 0 on the others, so it lies in exactly the
+    maximal cones holding the center, and in each of them splits off the
+    facets that drop one center ray.  Defers when the center is not a set
+    of at least two rays of one maximal cone, and, for fans that were
+    never validated, when ``v`` is a ray already or lies in another
+    maximal cone.
+    """
+    if len(set(center)) != len(center) or len(center) < 2:
+        return None
+    hold = [set(center).issubset(mc) for mc in fan.maximal_cones]
+    if not any(hold):
+        return None
+    point = tuple(sum(fan.rays[i][k] for i in center) for k in range(fan.rank))
+    if fan.ray_index(point) is not None or any(
+        _in_unimodular(duals, point) for h, duals in zip(hold, table) if not h
+    ):
+        return None
+    v = len(fan.rays)
+    new_max = set()
+    for mc, h in zip(fan.maximal_cones, hold):
+        if not h:
+            new_max.add(mc)
+            continue
+        for i in center:
+            new_max.add(tuple(sorted([j for j in mc if j != i] + [v])))
+    out = Fan.make(fan.rank, fan.rays + (point,), sorted(new_max), validate=False)
+    return out, StarSubdivisionStep(center=center, new_ray=point)
+
+
 def star_subdivide(fan: Fan, center) -> tuple:
     """Star subdivision relative to the cone with ray indices ``center``.
 
@@ -300,6 +413,11 @@ def star_subdivide(fan: Fan, center) -> tuple:
     generators.  Returns ``(fan, step)``.
     """
     center = tuple(sorted(center))
+    table = _unimodular_inverses(fan)
+    if table is not None:
+        out = _star_subdivide_unimodular(fan, center, table)
+        if out is not None:
+            return out
     try:
         cone = fan.cone(center)
     except ValueError as exc:
@@ -399,20 +517,14 @@ def subdivision_witness(source: Fan, target: Fan):
     per source cone through the ray."""
     if source.rank != target.rank:
         return None
-    tcones = target.maximal()
-
-    @cache  # local to this call
-    def contains(j, k):
-        return tcones[j].contains_point(source.rays[k])
-
+    holders = _holders(target)
+    every = (1 << len(target.maximal_cones)) - 1
     witness = []
     for mc in source.maximal_cones:
-        hit = next(
-            (j for j in range(len(tcones)) if all(contains(j, k) for k in mc)), None
-        )
-        if hit is None:
+        mask = reduce(and_, (holders(source.rays[k]) for k in mc), every)
+        if not mask:
             return None
-        witness.append(hit)
+        witness.append((mask & -mask).bit_length() - 1)  # the first container
     return tuple(witness)
 
 
@@ -745,7 +857,11 @@ def hyperplane_slice(fan: Fan, coord: int) -> Fan:
     if not 0 <= coord < fan.rank:
         raise FanError("coordinate out of range")
     keep = {i for i, r in enumerate(fan.rays) if r[coord] == 0}
-    sliced = [idx for idx in fan.all_cone_indices() if set(idx) <= keep]
+    if _unimodular_inverses(fan) is not None:
+        # faces are subsets of maximal cones: the maximal meets suffice
+        sliced = {tuple(i for i in mc if i in keep) for mc in fan.maximal_cones}
+    else:
+        sliced = [idx for idx in fan.all_cone_indices() if set(idx) <= keep]
     maximal = [
         c for c in sliced if not any(set(c) < set(d) for d in sliced)
     ]

@@ -77,6 +77,37 @@ def test_refine_cli(tmp_path, capsys):
     assert all(len(s["center"]) == 2 for s in data["steps"])
 
 
+@pytest.mark.parametrize("eta", ["a,b", "0,7", "-1", "0,,1", "1.5"])
+def test_refine_rejects_bad_eta(tmp_path, capsys, eta):
+    p2 = write_fan(tmp_path, standard_fan("P^n", 2))
+    code = main(["refine", p2, p2, f"--eta={eta}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: --eta:")
+
+
+def test_refine_accepts_a_shared_eta(tmp_path, capsys):
+    p2 = write_fan(tmp_path, standard_fan("P^n", 2))
+    code, out = run(capsys, "refine", p2, p2, "--eta", "0,2")
+    assert code == 0
+    assert json.loads(out)["steps"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fan-check", "{fan}"], ["chow", "{fan}"],
+     ["logchow", "--q", "1", "--r", "0", "--nmax", "1", "--depth", "0"]],
+)
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv):
+    fan = write_fan(tmp_path, standard_fan("P^n", 1))
+    target = tmp_path / "missing" / "out.json"
+    code = main([a.replace("{fan}", fan) for a in argv] + ["-o", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"input error: cannot write {target}:")
+    assert not target.exists()
+
+
 def test_smlsmify_cli(tmp_path, capsys):
     pair = {
         "rank": 2,

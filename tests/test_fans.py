@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from logtoric.cones import Cone
+from logtoric.cones import Cone, dot
 from logtoric.fans import (
     Fan,
     FanError,
+    _in_unimodular,
     _parallelepiped_points,
+    _unimodular_inverses,
     crosses,
     fan_from_json,
     fan_to_json,
@@ -30,6 +32,7 @@ from logtoric.fans import (
     standard_fan,
     star_quotient,
     star_subdivide,
+    star_subdivide_at_point,
     subdivision_witness,
     support_equal,
 )
@@ -541,6 +544,139 @@ def test_subdivision_witness_matches_containment_scan():
     assert _witness_by_scan(standard_fan("P^n", 3), p1_power(3)) is None
     assert subdivision_witness(standard_fan("P^n", 3), p1_power(3)) is None
     assert found > 20 and missing > 20
+    # every ordered pair of the kernel's test fans, on both sides of the
+    # kernel's class
+    for source, target in itertools.permutations(KERNEL_FANS + FALLBACK_FANS + [OVERLAPPING], 2):
+        assert subdivision_witness(source, target) == _witness_by_scan(source, target)
+
+
+# -- the smooth kernel against double description -------------------------------
+
+
+def _random_tower(rng, fan, steps):
+    """``steps`` star subdivisions of ``fan``, each at a random cone of
+    dimension >= 2."""
+    for _ in range(steps):
+        centers = [c for c in fan.all_cone_indices() if len(c) >= 2]
+        fan, _ = star_subdivide(fan, centers[rng.randrange(len(centers))])
+    return fan
+
+
+def _faces_by_dd(fan):
+    """{ray-index tuple: dimension} of every cone, from the face lattice of
+    each maximal cone."""
+    out = {(): 0}
+    for mc in fan.maximal_cones:
+        ray_of = {fan.rays[i]: i for i in mc}
+        for f in fan.cone(mc).faces():
+            out[tuple(sorted(ray_of[r] for r in f.rays))] = f.dim
+    return out
+
+
+def _star_subdivide_by_dd(fan, center):
+    """``star_subdivide`` through ``Cone``: the center must be a cone of
+    dimension >= 2, then its primitive ray sum is inserted as a point."""
+    cone = fan.cone(center)
+    if cone.dim < 2 or fan.find_cone(cone) != center:
+        raise FanError("not a center")
+    total = [sum(fan.rays[i][k] for i in center) for k in range(fan.rank)]
+    return star_subdivide_at_point(fan, primitive(total))
+
+
+def _slice_by_dd(fan, coord):
+    keep = {i for i, r in enumerate(fan.rays) if r[coord] == 0}
+    sliced = [c for c in _faces_by_dd(fan) if set(c) <= keep]
+    maximal = [c for c in sliced if not any(set(c) < set(d) for d in sliced)]
+    used = sorted({i for c in maximal for i in c})
+    remap = {old: new for new, old in enumerate(used)}
+    return Fan.make(
+        fan.rank - 1,
+        [tuple(x for k, x in enumerate(fan.rays[i]) if k != coord) for i in used],
+        sorted(tuple(remap[i] for i in c) for c in maximal),
+    )
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the class of the error it raises."""
+    try:
+        return fn(*args)
+    except (FanError, ValueError, IndexError) as exc:
+        return type(exc)
+
+
+def _kernel_fans():
+    """Seeded star-subdivision towers over (P^1)^3 and (P^1)^4, P^3, and
+    two incomplete smooth fans."""
+    rng = random.Random(3113)
+    fans = []
+    for n, count, steps in ((3, 3, 4), (4, 2, 3)):
+        for _ in range(count):
+            fan = p1_power(n)
+            fans.append(fan)
+            for _ in range(steps):
+                fan = _random_tower(rng, fan, 1)
+                fans.append(fan)
+    # incomplete smooth fans: a slice cone may lie in one maximal cone only
+    incomplete = [standard_fan("A^n", 3), Fan.make(4, fans[-1].rays, fans[-1].maximal_cones[1:])]
+    return fans + [standard_fan("P^n", 3)] + incomplete
+
+
+KERNEL_FANS = _kernel_fans()
+# fans outside the kernel's class: a smooth fan with a 2-dimensional
+# maximal cone, a complete simplicial non-smooth fan, and unvalidated cones
+# that overlap and are not unimodular
+FALLBACK_FANS = [
+    Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)], [(0, 1, 2), (1, 3)]),
+    Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -2, -3)],
+             [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+    INCOMPLETE_FANS[-1],
+]
+# unvalidated unimodular cones that overlap: the kernel table applies, and
+# star subdivision must defer to the generic code where the new ray is old
+# or lies in a cone that does not hold the center
+OVERLAPPING = Fan.make(
+    2, [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1), (0, 2), (1, 3), (3, 4), (0, 4)],
+    validate=False,
+)
+
+
+def test_kernel_table_is_the_inverse_and_membership_is_containment():
+    for fan in KERNEL_FANS + [OVERLAPPING]:
+        table = _unimodular_inverses(fan)
+        assert table is not None
+        box = list(itertools.product(range(-2, 3), repeat=fan.rank))
+        for mc, duals in zip(fan.maximal_cones, table):
+            assert [[dot(w, fan.rays[i]) for i in mc] for w in duals] == [
+                [int(a == b) for b in range(fan.rank)] for a in range(fan.rank)
+            ]
+            cone = fan.cone(mc)
+            for x in box:
+                assert _in_unimodular(duals, x) == cone.contains_point(x), (mc, x)
+    for fan in FALLBACK_FANS:
+        assert _unimodular_inverses(fan) is None
+
+
+@pytest.mark.parametrize("fan", KERNEL_FANS + FALLBACK_FANS + [OVERLAPPING])
+def test_kernel_predicates_match_double_description(fan):
+    assert is_smooth(fan) == all(fan.cone(mc).is_smooth() for mc in fan.maximal_cones)
+    assert is_complete(fan) == _complete_by_facet_pairing(fan)
+    faces = _faces_by_dd(fan)
+    for d in range(fan.rank + 2):
+        assert fan.cone_indices_of_dim(d) == sorted(c for c, dim in faces.items() if dim == d)
+    for coord in range(fan.rank):
+        assert _outcome(hyperplane_slice, fan, coord) == _outcome(_slice_by_dd, fan, coord)
+
+
+@pytest.mark.parametrize("fan", KERNEL_FANS + FALLBACK_FANS + [OVERLAPPING])
+def test_kernel_star_subdivide_matches_double_description(fan):
+    centers = [c for c in _faces_by_dd(fan) if len(c) >= 2]
+    # index sets that are no cone: all rays, repeated or missing indices
+    centers += [tuple(range(len(fan.rays))), (0, 0, 1), (0, len(fan.rays))]
+    for center in centers:
+        want = _outcome(_star_subdivide_by_dd, fan, center)
+        got = _outcome(star_subdivide, fan, center)
+        # the generic code reports a center that is no cone as a FanError
+        assert got == want or (want is ValueError and got is FanError), center
 
 
 # -- parallelepiped points against a bounding-box scan ----------------------
@@ -648,3 +784,40 @@ def test_resolve_matches_golden():
         }
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
         assert digest == row["sha256"], fan
+
+
+# -- refine golden --------------------------------------------------------------
+
+
+def _refine_golden_pairs():
+    """Seeded (sigma, delta, eta): two star-subdivision towers over the
+    same (P^1)^n, protecting a random cone they share (the zero cone
+    included)."""
+    rng = random.Random(4711)
+    pairs = []
+    for n, count in ((2, 8), (3, 6)):
+        for _ in range(count):
+            sigma = _random_tower(rng, p1_power(n), rng.randint(0, 3))
+            delta = _random_tower(rng, p1_power(n), rng.randint(0, 3))
+            shared = [
+                c for c in sigma.all_cone_indices()
+                if delta.find_cone(sigma.cone(c)) is not None
+            ]
+            pairs.append((sigma, delta, shared[rng.randrange(len(shared))]))
+    return pairs
+
+
+def test_refine_matches_golden():
+    golden = json.loads((Path(__file__).parent / "golden" / "refine_sha256.json").read_text())
+    pairs = _refine_golden_pairs()
+    assert [
+        {"sigma": fan_to_json(s), "delta": fan_to_json(d), "eta": list(e)} for s, d, e in pairs
+    ] == [{k: row[k] for k in ("sigma", "delta", "eta")} for row in golden["rows"]]
+    for (sigma, delta, eta), row in zip(pairs, golden["rows"]):
+        out, steps = refine(sigma, delta, eta)
+        data = {
+            "steps": [[list(s.center), list(s.new_ray)] for s in steps],
+            "fan": fan_to_json(out),
+        }
+        digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+        assert digest == row["sha256"], row
