@@ -6,6 +6,12 @@ transition relation per generator and edge; almost every relation has a
 dense core where Smith normal form is cheap.  The eliminations are kept
 so arbitrary vectors can be pushed down to core coordinates exactly.
 
+The pivot rule is fixed, because the core columns define the chain bases
+downstream: the lowest alive row with a ±1 entry, at its smallest ±1
+column.  The search starts from a pointer to the lowest alive row, and
+each column lists the rows it has entered (append-only, stale entries
+skipped), so no pivot re-sorts the rows or the columns.
+
 Every solve modulo a relation lattice, here and in the cubical complex,
 goes through ``intlinalg.LatticeSolver``: one Hermite normal form of the
 stacked vectors, then back-substitution per right-hand side.
@@ -34,22 +40,25 @@ class Presentation:
 
     def _simplify(self, rows):
         rows = [r for r in (self._clean(r) for r in rows) if r]
+        # column -> the rows it entered, in order; an entry is stale once
+        # the column has left that row, and is skipped when visited
         col_rows = {}
         for ri, r in enumerate(rows):
             for c in r:
-                col_rows.setdefault(c, set()).add(ri)
-        alive = set(range(len(rows)))
+                col_rows.setdefault(c, []).append(ri)
+        alive = [True] * len(rows)
+        lowest = 0  # no alive row lies below it
         eliminated_cols = set()
         while True:
+            while lowest < len(rows) and not alive[lowest]:
+                lowest += 1
             pick = None
-            for ri in sorted(alive):
-                r = rows[ri]
-                for c in sorted(r):
-                    if abs(r[c]) == 1:
+            for ri in range(lowest, len(rows)):
+                if alive[ri]:
+                    c = min((c for c, v in rows[ri].items() if v == 1 or v == -1), default=None)
+                    if c is not None:
                         pick = (ri, c)
                         break
-                if pick:
-                    break
             if pick is None:
                 break
             ri, c = pick
@@ -59,37 +68,39 @@ class Presentation:
             expr = {c2: -sign * v for c2, v in r.items() if c2 != c}
             self._eliminations.append((c, expr))
             eliminated_cols.add(c)
-            alive.discard(ri)
-            for other in list(col_rows.get(c, ())):
-                if other == ri or other not in alive:
+            alive[ri] = False
+            for other in col_rows.pop(c):
+                if not alive[other]:
                     continue
                 row_o = rows[other]
                 k = row_o.pop(c, 0)
-                if k:
-                    for c2, v in expr.items():
-                        row_o[c2] = row_o.get(c2, 0) + k * v
-                        if row_o[c2] == 0:
-                            del row_o[c2]
-                        else:
-                            col_rows.setdefault(c2, set()).add(other)
+                if not k:
+                    continue
+                for c2, v in expr.items():
+                    x = row_o.get(c2)
+                    if x is None:  # c2 enters the row
+                        row_o[c2] = k * v
+                        col_rows[c2].append(other)
+                        continue
+                    x += k * v
+                    if x:
+                        row_o[c2] = x
+                    else:
+                        del row_o[c2]
                 if not row_o:
-                    alive.discard(other)
-            col_rows.pop(c, None)
+                    alive[other] = False
 
         self.core_cols = sorted(
             set(range(self.ngens)) - eliminated_cols
         )
         self._col_pos = {c: i for i, c in enumerate(self.core_cols)}
-        core_rows = []
-        for ri in sorted(alive):
-            r = rows[ri]
-            if r:
-                core_rows.append(
-                    tuple(r.get(c, 0) for c in self.core_cols)
-                )
-        self.core_rows = core_rows
-        if core_rows:
-            h, _ = hermite_normal_form(IntMatrix.from_rows(core_rows))
+        self.core_rows = [
+            tuple(r.get(c, 0) for c in self.core_cols)
+            for r, a in zip(rows, alive)
+            if a
+        ]
+        if self.core_rows:
+            h, _ = hermite_normal_form(IntMatrix.from_rows(self.core_rows))
             self._reduction = [r for r in h.entries if any(r)]
         else:
             self._reduction = []

@@ -17,12 +17,17 @@ build it, and the complex builds it once per node face and once per
 refinement edge.  The map memoizes the image of each generator cone (the
 product of its rays' divisors, unreduced), and each class image is the
 sum of those images reduced once to the normal form.
+
+The characters on a smooth cone (the support function's Cartier data,
+the Stanley-Reisner rewrite) depend only on the cone's rays and the
+target values, so ``_cone_character`` solves each distinct system once,
+in a bounded memo that all fans of a tower share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .cones import dot
 from .fans import (
@@ -169,21 +174,22 @@ def scale(a: ChowClass, c: int) -> ChowClass:
     return ChowClass(a.fan, a.q, hnf_reduce([c * x for x in a.coords], reduction))
 
 
-_REWRITE_CACHE: dict = {}
+@lru_cache(maxsize=4096)
+def _cone_character(rows, target):
+    """One integer character m with ``<m, rows[k]> = target[k]``, or None.
+    The node fans of one tower share most of their cones, so each
+    distinct (ray rows, target) system is solved once."""
+    return solve_integer(IntMatrix.from_rows(rows), target)
 
 
 def _basis_rewrite_character(fan: Fan, sigma, rho):
     """m with <m, u_rho'> = delta_{rho rho'} for every ray rho' of the
     smooth cone sigma (rho in sigma)."""
-    key = (fan, sigma, rho)
-    if key in _REWRITE_CACHE:
-        return _REWRITE_CACHE[key]
-    rows = [fan.rays[i] for i in sigma]
-    target = tuple(1 if i == rho else 0 for i in sigma)
-    m = solve_integer(IntMatrix.from_rows(rows), target)
+    m = _cone_character(
+        tuple(fan.rays[i] for i in sigma), tuple(1 if i == rho else 0 for i in sigma)
+    )
     if m is None:
         raise ChowError("smooth cone expected")
-    _REWRITE_CACHE[key] = m
     return m
 
 
@@ -280,9 +286,9 @@ def support_function(fan: Fan, ray_index: int):
             # zero right-hand side of a square unimodular system
             data[mc] = (0,) * fan.rank
             continue
-        rows = [fan.rays[i] for i in mc]
-        target = tuple(-1 if i == ray_index else 0 for i in mc)
-        m = solve_integer(IntMatrix.from_rows(rows), target)
+        m = _cone_character(
+            tuple(fan.rays[i] for i in mc), tuple(-1 if i == ray_index else 0 for i in mc)
+        )
         if m is None:
             raise ChowError("support function needs a smooth complete fan")
         data[mc] = m

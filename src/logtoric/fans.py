@@ -10,15 +10,19 @@ preserving a chosen common cone).
 
 Smooth kernel: when every maximal cone lists ``rank`` rays with a
 unimodular ray matrix (every blow-up node fan does), the fan keeps one
-integer inverse per maximal cone (``_unimodular_inverses``).  Membership
-is then the sign of the coordinates under that inverse, faces are the
-subsets of the maximal cones, hyperplane slices are the maximal meets of
-the maximal cones with the hyperplane's rays, and a star subdivision at a
-face is the combinatorial split ``sigma - {i} + {v}``.  ``is_smooth``,
-``is_complete``, ``subdivision_witness``, ``star_subdivide`` and
-``hyperplane_slice`` take this path by themselves; every other fan (lower
-dimensional or non-smooth maximal cones, ``resolve`` input) keeps the
-double description of ``cones``, which is also the kernel's test oracle.
+integer inverse per maximal cone (``_unimodular_inverses``; the bounded
+``_dual_basis`` memo factors each distinct cone once, however many fans
+share it).  Membership is then the sign of the coordinates under that
+inverse, faces are the subsets of the maximal cones, hyperplane slices
+are the maximal meets of the maximal cones with the hyperplane's rays,
+and a star subdivision at a face is the combinatorial split
+``sigma - {i} + {v}``.  ``is_smooth``, ``is_complete``,
+``subdivision_witness``, ``star_subdivide`` and ``hyperplane_slice``
+take this path by themselves; every other fan (lower dimensional or
+non-smooth maximal cones, ``resolve`` input) keeps the double
+description of ``cones``, which is also the kernel's test oracle.
+``product`` and ``insert_p1_coordinate`` build fans by construction, so
+they validate their inputs, not their output.
 """
 
 from __future__ import annotations
@@ -169,26 +173,38 @@ def _unimodular_inverses(fan: Fan):
     """The smooth kernel's table: per maximal cone, the inverse of its ray
     matrix as the dual basis ``(w_1, ..., w_rank)``, ``w_k . ray_i = [k ==
     i]`` in the cone's index order.  None unless every maximal cone lists
-    ``rank`` rays with a unimodular ray matrix.
-
-    With the rays as the rows of ``A`` and ``D = U A V = I`` its Smith
-    form, ``A^-1 = V U`` and the ``w_k`` are its columns.  A point lies in
-    the cone exactly when every ``w_k . x >= 0``: the dual rays of a
-    full-dimensional simplicial cone are positive multiples of the ``w_k``.
+    ``rank`` rays with a unimodular ray matrix.  A point lies in the cone
+    exactly when every ``w_k . x >= 0``: the dual rays of a
+    full-dimensional simplicial cone are positive multiples of the
+    ``w_k``.
     """
     n = fan.rank
     if n == 0 or not fan.maximal_cones:
         return None
     table = []
     for mc in fan.maximal_cones:
-        rows = [fan.rays[i] for i in mc]
+        rows = tuple(fan.rays[i] for i in mc)
         if len(rows) != n or any(len(r) != n for r in rows):
             return None
-        d, u, v = smith_normal_form(IntMatrix.from_rows(rows))
-        if any(x != 1 for x in d.diagonal()):
+        duals = _dual_basis(rows)
+        if duals is None:
             return None
-        table.append(tuple(zip(*(v @ u).entries)))
+        table.append(duals)
     return tuple(table)
+
+
+@lru_cache(maxsize=4096)
+def _dual_basis(rows):
+    """Columns of the inverse of the square matrix with rows ``rows``, or
+    None unless it is unimodular.  The fans of one blow-up tower share
+    most of their cones, so each distinct cone is factored once.
+
+    With ``D = U A V = I`` the Smith form of ``A``, ``A^-1 = V U``.
+    """
+    d, u, v = smith_normal_form(IntMatrix.from_rows(rows))
+    if any(x != 1 for x in d.diagonal()):
+        return None
+    return tuple(zip(*(v @ u).entries))
 
 
 def _in_unimodular(duals, x) -> bool:
@@ -413,6 +429,8 @@ def star_subdivide(fan: Fan, center) -> tuple:
     generators.  Returns ``(fan, step)``.
     """
     center = tuple(sorted(center))
+    if any(not 0 <= i < len(fan.rays) for i in center):
+        raise FanError(f"center {center} is not a cone of the fan: ray index out of range")
     table = _unimodular_inverses(fan)
     if table is not None:
         out = _star_subdivide_unimodular(fan, center, table)
@@ -880,7 +898,11 @@ def hyperplane_slice(fan: Fan, coord: int) -> Fan:
 
 
 def product(f: Fan, g: Fan) -> Fan:
-    """Fan of the product: direct-sum lattice, cones sigma x tau."""
+    """Fan of the product: direct-sum lattice, cones sigma x tau.  The
+    product of two fans is a fan, so the factors are validated (once per
+    distinct fan) and the product is not."""
+    _validate_once(f)
+    _validate_once(g)
     rays = [r + tuple(0 for _ in range(g.rank)) for r in f.rays]
     rays += [tuple(0 for _ in range(f.rank)) + r for r in g.rays]
     shift = len(f.rays)
@@ -888,7 +910,7 @@ def product(f: Fan, g: Fan) -> Fan:
     for a in f.maximal_cones:
         for b in g.maximal_cones:
             cones.append(tuple(sorted(tuple(a) + tuple(i + shift for i in b))))
-    return Fan.make(max(f.rank + g.rank, 0), rays, sorted(set(cones)))
+    return Fan.make(max(f.rank + g.rank, 0), rays, sorted(set(cones)), validate=False)
 
 
 # -- standard fans ---------------------------------------------------------
@@ -1031,7 +1053,9 @@ def complete_fan(fan: Fan) -> Fan:
 
 
 def insert_p1_coordinate(fan: Fan, position: int) -> Fan:
-    """fan x P^1 with the new coordinate spliced in at ``position``."""
+    """fan x P^1 with the new coordinate spliced in at ``position``: a
+    coordinate permutation of a product, so it is a fan and is not
+    validated again."""
     prod = product(fan, standard_fan("P^n", 1))
 
     def splice(vec):
@@ -1040,7 +1064,7 @@ def insert_p1_coordinate(fan: Fan, position: int) -> Fan:
         return tuple(head[:position] + [tail] + head[position:])
 
     rays = [splice(r) for r in prod.rays]
-    return Fan.make(fan.rank + 1, rays, prod.maximal_cones)
+    return Fan.make(fan.rank + 1, rays, prod.maximal_cones, validate=False)
 
 
 def permute_coordinates(fan: Fan, perm) -> Fan:

@@ -4,6 +4,8 @@ import pytest
 
 from logtoric.chow import (
     ChowError,
+    _basis_rewrite_character,
+    _cone_character,
     chow_presentation,
     classes_equal,
     external_insert,
@@ -17,10 +19,13 @@ from logtoric.chow import (
     restrict_star,
     scale,
     slice_divisors,
+    support_function,
     unit_class,
 )
+from logtoric.cones import dot
 from logtoric.fans import (
     Fan,
+    _dual_basis,
     hyperplane_slice,
     p1_power,
     standard_fan,
@@ -278,3 +283,53 @@ def test_chow_ranks_are_the_h_vector(fan):
     for q in range(fan.rank + 1):
         group = chow_presentation(fan, q)
         assert (group.rank, group.torsion) == (h[q], ())
+
+
+# -- characters: plain dot products, no solver ----------------------------------
+
+
+def _character_towers():
+    """Seeded star-subdivision towers over (P^1)^3 and (P^1)^4, every
+    stage kept, so later fans share most cones with earlier ones."""
+    rng = random.Random(1010)
+    fans = []
+    for n, steps in ((3, 5), (3, 5), (4, 3)):
+        fan = p1_power(n)
+        fans.append(fan)
+        for _ in range(steps):
+            centers = [c for c in fan.all_cone_indices() if len(c) >= 2]
+            fan, _ = star_subdivide(fan, centers[rng.randrange(len(centers))])
+            fans.append(fan)
+    return fans
+
+
+def test_support_function_is_minus_delta_on_every_maximal_cone():
+    for fan in _character_towers():
+        for rho in range(len(fan.rays)):
+            data = support_function(fan, rho)
+            assert list(data) == list(fan.maximal_cones)
+            for mc, m in data.items():
+                assert [dot(m, fan.rays[i]) for i in mc] == [-(i == rho) for i in mc]
+
+
+def test_rewrite_character_is_delta_on_its_cone():
+    for fan in _character_towers():
+        for sigma in fan.all_cone_indices():
+            for rho in sigma:
+                m = _basis_rewrite_character(fan, sigma, rho)
+                assert [dot(m, fan.rays[i]) for i in sigma] == [int(i == rho) for i in sigma]
+
+
+def test_cone_memos_are_bounded():
+    assert _cone_character.cache_info().maxsize is not None
+    assert _dual_basis.cache_info().maxsize is not None
+    # a cone that two fans share is solved once: the second fan hits
+    fan = p1_power(3)
+    bigger, _ = star_subdivide(fan, fan.maximal_cones[0])
+    sigma = fan.maximal_cones[-1]
+    assert sigma in bigger.maximal_cones
+    _cone_character.cache_clear()
+    _basis_rewrite_character(fan, sigma, sigma[0])
+    _basis_rewrite_character(bigger, sigma, sigma[0])
+    info = _cone_character.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

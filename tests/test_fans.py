@@ -11,6 +11,7 @@ from logtoric.cones import Cone, dot
 from logtoric.fans import (
     Fan,
     FanError,
+    _dual_basis,
     _in_unimodular,
     _parallelepiped_points,
     _unimodular_inverses,
@@ -19,6 +20,7 @@ from logtoric.fans import (
     fan_to_json,
     fundamental_points,
     hyperplane_slice,
+    insert_p1_coordinate,
     is_complete,
     is_partial_subdivision,
     is_smooth,
@@ -576,7 +578,10 @@ def _faces_by_dd(fan):
 def _star_subdivide_by_dd(fan, center):
     """``star_subdivide`` through ``Cone``: the center must be a cone of
     dimension >= 2, then its primitive ray sum is inserted as a point."""
-    cone = fan.cone(center)
+    try:
+        cone = fan.cone(center)
+    except IndexError:
+        raise FanError("not a center") from None
     if cone.dim < 2 or fan.find_cone(cone) != center:
         raise FanError("not a center")
     total = [sum(fan.rays[i][k] for i in center) for k in range(fan.rank)]
@@ -600,7 +605,7 @@ def _outcome(fn, *args):
     """The value of ``fn(*args)``, or the class of the error it raises."""
     try:
         return fn(*args)
-    except (FanError, ValueError, IndexError) as exc:
+    except (FanError, ValueError) as exc:
         return type(exc)
 
 
@@ -677,6 +682,46 @@ def test_kernel_star_subdivide_matches_double_description(fan):
         got = _outcome(star_subdivide, fan, center)
         # the generic code reports a center that is no cone as a FanError
         assert got == want or (want is ValueError and got is FanError), center
+
+
+@pytest.mark.parametrize("center", [(0, 99), (-1, 0), (-2, -1)])
+def test_star_subdivide_rejects_an_out_of_range_center(center):
+    for fan in (p1_power(3), FALLBACK_FANS[1]):
+        with pytest.raises(FanError, match="out of range"):
+            star_subdivide(fan, center)
+
+
+def test_cones_shared_by_two_fans_share_their_dual_basis():
+    fan = KERNEL_FANS[0]
+    bigger, _ = star_subdivide(fan, fan.maximal_cones[0])
+    small, big = _unimodular_inverses(fan), _unimodular_inverses(bigger)
+    shared = [mc for mc in fan.maximal_cones if mc in bigger.maximal_cones]
+    assert shared
+    for mc in shared:
+        i, j = fan.maximal_cones.index(mc), bigger.maximal_cones.index(mc)
+        assert big[j] is small[i]
+    assert _dual_basis.cache_info().maxsize is not None
+
+
+def test_product_validates_its_factors():
+    # two rays with one cone each, not a fan: the ray is listed twice
+    bad = Fan.make(1, [(1,), (1,)], [(0,), (1,)], validate=False)
+    with pytest.raises(FanError):
+        product(bad, P1)
+    with pytest.raises(FanError):
+        product(P1, bad)
+    with pytest.raises(FanError):
+        insert_p1_coordinate(bad, 0)
+
+
+# stages of the (P^1)^3 towers, the first blow-up of (P^1)^4, and P^3
+@pytest.mark.parametrize("fan", [KERNEL_FANS[i] for i in (1, 4, 7, 13, 16, 23)])
+def test_insert_p1_coordinate_output_is_a_valid_fan(fan):
+    for position in range(fan.rank + 1):
+        big = insert_p1_coordinate(fan, position)
+        big.validate()
+        assert big.rank == fan.rank + 1
+        assert len(big.maximal_cones) == 2 * len(fan.maximal_cones)
 
 
 # -- parallelepiped points against a bounding-box scan ----------------------
