@@ -142,12 +142,7 @@ class Presentation:
         return not any(self.normal_form(vec))
 
     def group(self) -> FPAbelianGroup:
-        rel = (
-            IntMatrix.from_rows(self.core_rows)
-            if self.core_rows
-            else IntMatrix.zero(0, len(self.core_cols))
-        )
-        return FPAbelianGroup(len(self.core_cols), rel)
+        return FPAbelianGroup.from_rows(len(self.core_cols), self.core_rows)
 
     def relation_lattice_rows(self):
         """Basis rows of the relation lattice in core coordinates."""

@@ -115,8 +115,7 @@ def presentation_data(fan: Fan, q: int):
 def chow_presentation(fan: Fan, q: int) -> FPAbelianGroup:
     """CH^q as a finitely presented abelian group."""
     gens, rows, _ = presentation_data(fan, q)
-    rel = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, len(gens))
-    return FPAbelianGroup(len(gens), rel)
+    return FPAbelianGroup.from_rows(len(gens), rows)
 
 
 @dataclass(frozen=True)

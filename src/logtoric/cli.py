@@ -233,6 +233,11 @@ def _check_logchow_args(args):
             raise InputError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
     if args.search_depth is not None and args.nmax == 0:
         raise InputError("--search-depth needs --nmax >= 1 (it searches degree nmax - 1)")
+    if args.search_depth is not None and args.search_depth <= args.depth:
+        raise InputError(
+            f"--search-depth must exceed --depth (the search starts at depth + 1), "
+            f"got {args.search_depth} <= {args.depth}"
+        )
     try:
         node_budget()
     except SblError as exc:
@@ -248,12 +253,8 @@ def cmd_logchow(args) -> int:
         "truncated": cx.truncated,
         "diagram_nodes": [len(d.nodes) for d in cx.diagrams],
         "chain_groups": [
-            {
-                "n": n,
-                "rank": cx.chain_group(n).rank,
-                "torsion": list(cx.chain_group(n).torsion),
-            }
-            for n in range(cx.n_max + 1)
+            {"n": n, "rank": g.rank, "torsion": list(g.torsion)}
+            for n, g in enumerate(map(cx.chain_group, range(cx.n_max + 1)))
         ],
         "homology": [
             {"n": n, "rank": h.rank, "torsion": list(h.torsion)}

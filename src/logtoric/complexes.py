@@ -3,9 +3,13 @@
 Degree n holds the colimit of CH^q over the (n, r) blow-up diagram; the
 chain group is the intersection of the kernels of the zero-face maps,
 the differential the alternating sum of the one-face maps.  Everything
-is exact integer linear algebra: colimits are sparse presentations,
-chain groups are kernels into quotients, and homology is a subquotient
-read off Smith normal form.
+is exact integer linear algebra on two lattice primitives, each called
+from one place per use: ``abelian.kernel_mod_lattice`` (the vectors a
+map sends into a lattice) gives the chain groups and the cycles, and
+``_coordinates`` (coordinates on a basis modulo a lattice, one
+``LatticeSolver`` factorization for all targets) gives the chain
+relations, the differentials and the homology relations.  Homology is a
+subquotient read off Smith normal form.
 
 The structure maps depend on a node or an edge, never on the class they
 map.  The faces of a node are derived once, in ``_close_under_faces``,
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 from .abelian import Presentation, kernel_mod_lattice
 from .chow import (
@@ -36,7 +41,7 @@ from .chow import (
     star_quotient_divisors,
 )
 from .fans import hyperplane_slice
-from .intlinalg import FPAbelianGroup, IntMatrix, LatticeSolver
+from .intlinalg import FPAbelianGroup, LatticeSolver
 from .sbl import CnrDiagram, CnrNode, enumerate_cnr, face_zero_data
 
 
@@ -68,12 +73,11 @@ class ColimitGroup:
         """{(canonical fan, cone): coeff} -> sparse ambient vector."""
         vec = {}
         for (fan, cone), c in keyed.items():
-            idx = self.diagram.node_index(fan)
-            if idx is None:
-                raise ComplexError("class references a node outside the diagram")
-            vec[self.gen_index[(idx, tuple(cone))]] = vec.get(
-                self.gen_index[(idx, tuple(cone))], 0
-            ) + c
+            # a fan outside the diagram has node index None, so no generator
+            g = self.gen_index.get((self.diagram.node_index(fan), tuple(cone)))
+            if g is None:
+                raise ComplexError(f"cone {tuple(cone)} is not a generator of a diagram node")
+            vec[g] = vec.get(g, 0) + c
         return vec
 
     def keyed_of_ambient(self, vec):
@@ -86,24 +90,18 @@ class ColimitGroup:
 
 
 def build_colimit(diagram: CnrDiagram, q: int) -> ColimitGroup:
+    """Every node's generators and relation rows, node by node, then one
+    transition row per refinement edge and parent generator."""
     gens = []
     gen_index = {}
-    for node_idx, node in enumerate(diagram.nodes):
-        cones, _, _ = presentation_data(node.fan, q)
-        for cone in cones:
-            gen_index[(node_idx, cone)] = len(gens)
-            gens.append((node_idx, cone))
     rows = []
     for node_idx, node in enumerate(diagram.nodes):
         cones, node_rows, _ = presentation_data(node.fan, q)
-        for row in node_rows:
-            rows.append(
-                {
-                    gen_index[(node_idx, cones[j])]: v
-                    for j, v in enumerate(row)
-                    if v
-                }
-            )
+        start = len(gens)
+        for cone in cones:
+            gen_index[(node_idx, cone)] = len(gens)
+            gens.append((node_idx, cone))
+        rows.extend({start + j: v for j, v in enumerate(row) if v} for row in node_rows)
     for child, parent in diagram.refinement_edges():
         source = diagram.nodes[child].fan
         target = diagram.nodes[parent].fan
@@ -113,12 +111,10 @@ def build_colimit(diagram: CnrDiagram, q: int) -> ColimitGroup:
         for cone in pcones:
             cls = make_class(target, q, {cone: 1})
             pulled = pullback_subdivision(source, target, cls, divisor_of)
-            row = {gen_index[(parent, cone)]: 1}
-            for ccone, c in zip(ccones, pulled.coords):
-                if c:
-                    key = gen_index[(child, ccone)]
-                    row[key] = row.get(key, 0) - c
-            rows.append(row)
+            rows.append(
+                {gen_index[(parent, cone)]: 1}
+                | {gen_index[(child, cc)]: -c for cc, c in zip(ccones, pulled.coords) if c}
+            )
     return ColimitGroup(q, diagram, gens, gen_index, Presentation(len(gens), rows))
 
 
@@ -136,12 +132,7 @@ class NormalizedComplex:
     truncated: bool = False
 
     def chain_group(self, n: int) -> FPAbelianGroup:
-        basis = self.chain_bases[n]
-        rel = self.chain_relations[n]
-        return FPAbelianGroup(
-            len(basis),
-            IntMatrix.from_rows(rel) if rel else IntMatrix.zero(0, len(basis)),
-        )
+        return FPAbelianGroup.from_rows(len(self.chain_bases[n]), self.chain_relations[n])
 
     def sparse_of_chain(self, n: int, coeffs):
         """Chain-coordinate vector -> sparse ambient vector, supported on
@@ -233,34 +224,36 @@ def _face_matrix(
 
 
 def _assert_descends(colim_n: ColimitGroup, images, colim_prev: ColimitGroup):
-    ncore = len(colim_prev.presentation.core_cols)
+    """Every relation of colim_n maps to zero downstairs: each elimination,
+    written as e_c - expr, then each core row."""
     pres = colim_n.presentation
-    # every elimination and core relation must map to zero downstairs
-    for c, expr in pres.eliminations:
-        acc = list(images[c])
-        for c2, v in expr.items():
-            for k in range(ncore):
-                acc[k] -= v * images[c2][k]
-        if not colim_prev.presentation.is_zero(
-            {colim_prev.presentation.core_cols[k]: v for k, v in enumerate(acc) if v}
-        ):
-            raise ComplexError("face map does not descend to the colimit")
-    for row in pres.core_rows:
-        acc = [0] * ncore
-        for j, v in enumerate(row):
-            if v:
-                g = pres.core_cols[j]
-                for k in range(ncore):
-                    acc[k] += v * images[g][k]
-        if not colim_prev.presentation.is_zero(
-            {colim_prev.presentation.core_cols[k]: v for k, v in enumerate(acc) if v}
-        ):
+    target = colim_prev.presentation
+    relations = chain(
+        ({c: 1} | {c2: -v for c2, v in expr.items()} for c, expr in pres.eliminations),
+        ({g: v for g, v in zip(pres.core_cols, row) if v} for row in pres.core_rows),
+    )
+    for relation in relations:
+        acc = [0] * len(target.core_cols)
+        for g, v in relation.items():
+            for k, x in enumerate(images[g]):
+                if x:  # most images have a few nonzeros
+                    acc[k] += v * x
+        if not target.is_zero({target.core_cols[k]: v for k, v in enumerate(acc) if v}):
             raise ComplexError("face map does not descend to the colimit")
 
 
-def _core_matrix(colim_n: ColimitGroup, images):
-    """Images of the core generators (columns indexed by core columns)."""
-    return [images[g] for g in colim_n.presentation.core_cols]
+def _coordinates(basis, targets, message, lattice=()):
+    """Coordinates of each target on ``basis`` modulo ``lattice``, from one
+    factorization; raises ComplexError(message) if a target is no such
+    combination."""
+    solver = LatticeSolver(basis, lattice)
+    out = []
+    for target in targets:
+        sol = solver.solve(target)
+        if sol is None:
+            raise ComplexError(message)
+        out.append(sol)
+    return out
 
 
 def build_complex(
@@ -276,82 +269,62 @@ def build_complex(
     truncated = any(d.truncated for d in diagrams)
     faces = _close_under_faces(diagrams)
     colimits = [build_colimit(diagrams[n], q) for n in range(n_max + 1)]
+    sizes = [len(c.presentation.core_cols) for c in colimits]
+    lattices = [c.presentation.relation_lattice_rows() for c in colimits]
 
-    # face maps on core coordinates
-    zero_face = {}
-    one_face = {}
+    # face maps on core coordinates: face_maps[kind][(n, i)][j] is the
+    # image of core generator j under the face (i, kind)
+    face_maps = ({}, {})
     for n in range(1, n_max + 1):
         for i in range(1, n + 1):
-            imgs0 = _face_matrix(colimits[n], colimits[n - 1], faces[n], i, 0)
-            _assert_descends(colimits[n], imgs0, colimits[n - 1])
-            zero_face[(n, i)] = _core_matrix(colimits[n], imgs0)
-            imgs1 = _face_matrix(colimits[n], colimits[n - 1], faces[n], i, 1)
-            _assert_descends(colimits[n], imgs1, colimits[n - 1])
-            one_face[(n, i)] = _core_matrix(colimits[n], imgs1)
+            for kind in (0, 1):
+                images = _face_matrix(colimits[n], colimits[n - 1], faces[n], i, kind)
+                _assert_descends(colimits[n], images, colimits[n - 1])
+                face_maps[kind][(n, i)] = [
+                    images[g] for g in colimits[n].presentation.core_cols
+                ]
 
-    # chain groups: intersection of the zero-face kernels, inside the core
+    # chain groups: the intersection of the zero-face kernels, inside the
+    # core; the faces are stacked, and the relation lattice of degree
+    # n - 1 is repeated block-diagonally, once per face
     chain_bases = []
     chain_relations = []
     for n in range(n_max + 1):
-        core_n = len(colimits[n].presentation.core_cols)
-        if n == 0:
-            stacked = []
-            lattice = []
-        else:
-            core_prev = len(colimits[n - 1].presentation.core_cols)
-            lat_prev = colimits[n - 1].presentation.relation_lattice_rows()
-            stacked = []
-            lattice = []
-            for i in range(1, n + 1):
-                cols = zero_face[(n, i)]
-                block_rows = [
-                    tuple(cols[j][k] for j in range(core_n)) for k in range(core_prev)
-                ]
-                offset = len(stacked)
-                stacked.extend(block_rows)
-                for l in lat_prev:
-                    padded = [0] * offset + list(l)
-                    lattice.append(padded)
-            width = len(stacked)
-            lattice = [tuple(l + [0] * (width - len(l))) for l in lattice]
-        basis = kernel_mod_lattice(stacked, lattice, core_n)
-        # own relation lattice expressed in the kernel basis
-        rel_rows = []
-        if basis:
-            solver = LatticeSolver(basis)
-            for l in colimits[n].presentation.relation_lattice_rows():
-                sol = solver.solve(l)
-                if sol is None:
-                    raise ComplexError("relation lattice escapes the chain kernel")
-                if any(sol):
-                    rel_rows.append(sol)
-        chain_bases.append([tuple(b) for b in basis])
-        chain_relations.append(rel_rows)
+        stacked = [
+            tuple(col[k] for col in face_maps[0][(n, i)])
+            for i in range(1, n + 1)
+            for k in range(sizes[n - 1])
+        ]
+        lattice = [
+            (0,) * (b * sizes[n - 1]) + tuple(l) + (0,) * ((n - 1 - b) * sizes[n - 1])
+            for b in range(n)
+            for l in lattices[n - 1]
+        ]
+        basis = [tuple(v) for v in kernel_mod_lattice(stacked, lattice, sizes[n])]
+        rows = _coordinates(basis, lattices[n], "relation lattice escapes the chain kernel")
+        chain_bases.append(basis)
+        chain_relations.append([row for row in rows if any(row)])
 
     # differential: alternating sum of one-face maps, in chain coordinates
-    differentials = [[] for _ in range(n_max + 1)]
+    differentials = [[]]
     for n in range(1, n_max + 1):
-        core_n = len(colimits[n].presentation.core_cols)
-        core_prev = len(colimits[n - 1].presentation.core_cols)
-        basis_prev = chain_bases[n - 1]
-        lat_prev = colimits[n - 1].presentation.relation_lattice_rows()
-        faces = [one_face[(n, i)] for i in range(1, n + 1)]
+        one_faces = [face_maps[1][(n, i)] for i in range(1, n + 1)]
         d_core = [  # sum_i (-1)^i (one-face map i), on each core generator
             [
-                sum((-1) ** i * f[j][k] for i, f in enumerate(faces, 1))
-                for k in range(core_prev)
+                sum((-1) ** i * f[j][k] for i, f in enumerate(one_faces, 1))
+                for k in range(sizes[n - 1])
             ]
-            for j in range(core_n)
+            for j in range(sizes[n])
         ]
         # an image is a chain of degree n - 1 modulo the relation lattice
-        solver = LatticeSolver(basis_prev, lat_prev)
-        cols = []
-        for b in chain_bases[n]:
-            sol = solver.solve(_apply(d_core, b, core_prev))
-            if sol is None:
-                raise ComplexError("differential image escapes the chain group")
-            cols.append(sol)
-        differentials[n] = cols
+        differentials.append(
+            _coordinates(
+                chain_bases[n - 1],
+                [_apply(d_core, b, sizes[n - 1]) for b in chain_bases[n]],
+                "differential image escapes the chain group",
+                lattices[n - 1],
+            )
+        )
 
     cx = NormalizedComplex(
         q,
@@ -388,49 +361,25 @@ def _apply(columns, coeffs, dim):
     return out
 
 
-def _cycles(cx: NormalizedComplex, n: int):
-    """Basis of the cycles ker d_n, in chain coordinates of degree n."""
-    gens_n = len(cx.chain_bases[n])
-    if n == 0 or gens_n == 0:
-        return list(IntMatrix.identity(gens_n).entries)
-    cols = cx.differentials[n]
-    rows = [tuple(col[k] for col in cols) for k in range(len(cx.chain_bases[n - 1]))]
-    return kernel_mod_lattice(rows, cx.chain_relations[n - 1], gens_n)
+def homology_generators(cx: NormalizedComplex, n: int):
+    """Cycle representatives spanning H_n: a basis of the cycles ker d_n,
+    in chain coordinates of degree n."""
+    rows = list(zip(*cx.differentials[n]))  # none in degree 0
+    lattice = cx.chain_relations[n - 1] if n else []
+    return kernel_mod_lattice(rows, lattice, len(cx.chain_bases[n]))
 
 
 def homology(cx: NormalizedComplex):
     """H_n = ker d_n / im d_{n+1} for n = 0..n_max, via Smith normal form."""
     out = []
     for n in range(cx.n_max + 1):
-        kernel = _cycles(cx, n)
-        if not kernel:
-            out.append(FPAbelianGroup(0, IntMatrix.zero(0, 0)))
-            continue
-        relations = list(cx.chain_relations[n])
-        if n + 1 <= cx.n_max:
-            relations.extend(cx.differentials[n + 1])
-        solver = LatticeSolver(kernel)
-        rel_in_kernel = []
-        for rel in relations:
-            sol = solver.solve(rel)
-            if sol is None:
-                raise ComplexError("boundary escapes the cycle lattice")
-            if any(sol):
-                rel_in_kernel.append(sol)
-        out.append(
-            FPAbelianGroup(
-                len(kernel),
-                IntMatrix.from_rows(rel_in_kernel)
-                if rel_in_kernel
-                else IntMatrix.zero(0, len(kernel)),
-            )
+        cycles = homology_generators(cx, n)
+        boundaries = cx.differentials[n + 1] if n < cx.n_max else []
+        rows = _coordinates(
+            cycles, cx.chain_relations[n] + boundaries, "boundary escapes the cycle lattice"
         )
+        out.append(FPAbelianGroup.from_rows(len(cycles), [row for row in rows if any(row)]))
     return out
-
-
-def homology_generators(cx: NormalizedComplex, n: int):
-    """Cycle representatives spanning H_n, as chain-coordinate vectors."""
-    return _cycles(cx, n)
 
 
 def eventual_boundary_search(q, r, n, cycles, start_depth, max_depth, budget=None):

@@ -83,6 +83,8 @@ class Fan:
         return None
 
     def validate(self):
+        if self.rank < 0:
+            raise FanError("rank must be >= 0")
         seen = set()
         for r in self.rays:
             if len(r) != self.rank:

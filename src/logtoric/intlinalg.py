@@ -12,6 +12,7 @@ Matrices are immutable tuples of tuples of ints, row major.  A matrix
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 
@@ -381,15 +382,12 @@ def lattice_member(basis_rows, vec) -> bool:
     return LatticeSolver(basis_rows).solve(vec) is not None
 
 
-_SNF_DIAG_CACHE: dict = {}
-
-
 @dataclass(frozen=True)
 class FPAbelianGroup:
     """Finitely presented abelian group `Z^ngens / row span of relations`.
 
-    The Smith normal form of the relation matrix is computed once; rank
-    and torsion read off its diagonal.
+    The Smith normal form of the relation matrix is computed once per
+    group; rank and torsion read off its diagonal.
     """
 
     ngens: int
@@ -399,12 +397,15 @@ class FPAbelianGroup:
         if self.relations.cols != self.ngens and self.relations.rows != 0:
             raise ValueError("relation width must equal generator count")
 
-    @property
+    @classmethod
+    def from_rows(cls, ngens: int, rows) -> "FPAbelianGroup":
+        """Z^ngens modulo the span of ``rows``, which may be empty."""
+        return cls(ngens, IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, ngens))
+
+    @cached_property
     def _snf_diagonal(self):
-        if self.relations not in _SNF_DIAG_CACHE:
-            d, _, _ = smith_normal_form(self.relations)
-            _SNF_DIAG_CACHE[self.relations] = d.diagonal()
-        return _SNF_DIAG_CACHE[self.relations]
+        d, _, _ = smith_normal_form(self.relations)
+        return d.diagonal()
 
     @property
     def rank(self) -> int:

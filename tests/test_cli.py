@@ -45,6 +45,11 @@ def test_fan_check_bad_input(tmp_path, capsys):
     path2 = tmp_path / "broken.json"
     path2.write_text("{not json")
     assert main(["fan-check", str(path2)]) == 2
+    path3 = tmp_path / "negative.json"
+    path3.write_text('{"rank": -1, "rays": [], "maximal_cones": [[]]}')
+    capsys.readouterr()
+    assert main(["fan-check", str(path3)]) == 2
+    assert "rank must be >= 0" in capsys.readouterr().err
 
 
 def test_resolve_cli(tmp_path, capsys):
@@ -250,6 +255,20 @@ def test_logchow_rejects_search_without_degree(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("search_depth", ["0", "1"])
+def test_logchow_rejects_search_that_explores_nothing(capsys, search_depth):
+    # the search starts at depth + 1, so a search depth <= depth is empty
+    code = main(
+        ["logchow", "--q", "1", "--r", "1", "--nmax", "2", "--depth", "1",
+         "--search-depth", search_depth]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert "--search-depth" in captured.err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])

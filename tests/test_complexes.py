@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -296,10 +299,17 @@ def test_search_builds_one_complex_per_depth(monkeypatch):
     assert depths == []
 
 
-def test_golden_degree2_chain_rank_depth1():
-    import json
-    from pathlib import Path
+def test_sparse_of_keyed_rejects_a_cone_that_is_no_generator():
+    colim = build_colimit(enumerate_cnr(2, 0, 1), 1)
+    node_idx, cone = colim.gens[0]
+    fan = colim.diagram.nodes[node_idx].fan
+    assert colim.sparse_of_keyed({(fan, cone): 2}) == {0: 2}
+    # a degree-2 cone is a generator of CH^2, not of CH^1
+    with pytest.raises(ComplexError, match="not a generator"):
+        colim.sparse_of_keyed({(fan, (0, 1)): 1})
 
+
+def test_golden_degree2_chain_rank_depth1():
     golden = json.loads(
         (Path(__file__).parent / "golden" / "probe_q1_r0.json").read_text()
     )
@@ -577,3 +587,38 @@ def test_homology_factors_its_relations_once_per_degree(monkeypatch):
     assert [h.invariants() for h in homology(cx)] == expected
     # per degree: the cycle kernel (two forms) and one solver for the relations
     assert len(calls) <= 3 * (cx.n_max + 1) < relations
+
+
+# -- the internal data of the complex, frozen -----------------------------------
+
+
+def _complex_data(q, r, n_max, depth):
+    """Chain bases, chain relations, differentials, homology generators
+    and homology invariants of one complex, per degree."""
+    cx = build_complex(q, r, n_max, depth)
+    return {
+        "chain_bases": cx.chain_bases,
+        "chain_relations": cx.chain_relations,
+        "differentials": cx.differentials,
+        "homology_generators": [homology_generators(cx, n) for n in range(n_max + 1)],
+        "homology": [h.invariants() for h in homology(cx)],
+    }
+
+
+def _complex_data_sha256(args):
+    text = json.dumps(_complex_data(*args), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _complex_golden_rows():
+    path = Path(__file__).parent / "golden" / "complex_sha256.json"
+    return json.loads(path.read_text())["rows"]
+
+
+@pytest.mark.parametrize(
+    "row", _complex_golden_rows(), ids=lambda row: " ".join(map(str, row["args"]))
+)
+def test_complex_data_matches_golden(row):
+    # the chain-level data, not only the printed invariants: a change of
+    # basis or of relation rows shows here even where ranks agree
+    assert _complex_data_sha256(row["args"]) == row["sha256"]

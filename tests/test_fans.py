@@ -89,6 +89,8 @@ def test_standard_fans():
 
 
 def test_fan_validation():
+    with pytest.raises(FanError, match="rank must be >= 0"):
+        Fan.make(-1, [], [()])
     with pytest.raises(FanError, match="primitive"):
         Fan.make(2, [(2, 0)], [(0,)])
     with pytest.raises(FanError, match="duplicate"):

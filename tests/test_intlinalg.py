@@ -194,6 +194,23 @@ def test_group_repr():
     assert repr(g) == "Z + Z + Z/2"
 
 
+def test_group_from_rows_factors_once_per_group(monkeypatch):
+    import logtoric.intlinalg as intlinalg
+
+    calls = []
+    snf = intlinalg.smith_normal_form
+    monkeypatch.setattr(
+        intlinalg, "smith_normal_form", lambda m: calls.append(m) or snf(m)
+    )
+    assert FPAbelianGroup.from_rows(3, []).invariants() == (3, ())
+    g = FPAbelianGroup.from_rows(3, [(2, 0, 0), (0, 4, 2)])
+    assert (g.rank, g.torsion, g.invariants()) == (1, (2, 2), (1, (2, 2)))
+    assert len(calls) == 2
+    # an equal group is its own object, factored again: no process-wide table
+    assert FPAbelianGroup.from_rows(3, [(2, 0, 0), (0, 4, 2)]).rank == 1
+    assert len(calls) == 3
+
+
 @st.composite
 def _lattice_problem(draw):
     dim = draw(st.integers(1, 3))

@@ -25,7 +25,6 @@ ALLOWED = {
     "fans.hyperplane_slice",
     "fans.is_complete",
     "fans.is_smooth",
-    "intlinalg._SNF_DIAG_CACHE",
 }
 
 
