@@ -3,14 +3,24 @@
 The colimit groups glue hundreds of Chow presentations with one
 transition relation per generator and edge; almost every relation has a
 ±1 pivot, so the presentation collapses by substitution to a small
-dense core where Smith normal form is cheap.  The eliminations are kept
-so arbitrary vectors can be pushed down to core coordinates exactly.
+dense core where Smith normal form is cheap.  The eliminations are kept,
+with each generator's image in the core, so arbitrary vectors can be
+pushed down to core coordinates exactly.
 
 The pivot rule is fixed, because the core columns define the chain bases
 downstream: the lowest alive row with a ±1 entry, at its smallest ±1
-column.  The search starts from a pointer to the lowest alive row, and
-each column lists the rows it has entered (append-only, stale entries
-skipped), so no pivot re-sorts the rows or the columns.
+column.  The loop is left-looking: it takes the rows in order and reduces
+each through the *forms* of the eliminated columns, a form being the
+column's expression over the columns still alive, stamped with the pivot
+count at its last refresh.  A stale form is refreshed through the forms
+of its own columns (path compression, by an explicit loop).  A reduced
+row with no ±1 entry is deferred; after every pivot the deferred rows are
+retried in row order, from the front again after each pivot among them,
+before the next new row.  Given the pivots made so far a row's reduced
+content is unique, so this makes the pivots of the right-looking loop
+that rewrites every alive row at each pivot, without the rewriting.  At
+the end each eliminated generator gets its image, its form over the core
+columns, and ``to_core`` sums the images of a vector's generators.
 
 Every solve modulo a relation lattice, here and in the cubical complex,
 goes through ``intlinalg.LatticeSolver``: one Hermite normal form of the
@@ -30,75 +40,111 @@ from .intlinalg import (
 )
 
 
+def _substitute(combo, forms):
+    """The sparse combination ``combo`` with each column that has a form
+    replaced by that form (one level), zeros dropped."""
+    out = {}
+    for c, k in combo.items():
+        f = forms.get(c)
+        if f is None:
+            out[c] = out.get(c, 0) + k
+        else:
+            for c2, v in f.items():
+                out[c2] = out.get(c2, 0) + k * v
+    return {c: v for c, v in out.items() if v}
+
+
 class Presentation:
     """Z^ngens modulo sparse relation rows (dicts column -> value)."""
 
     def __init__(self, ngens: int, rows):
         self.ngens = ngens
-        self._eliminations = []  # (col, {col2: coeff}) meaning e_col = sum coeff*e_col2
-        self._simplify([dict(r) for r in rows])
+        rows = list(rows)
+        for r in rows:
+            for c in r:
+                if not 0 <= c < ngens:
+                    raise ValueError(f"relation column {c} is not in range({ngens})")
+        self._simplify(rows)
 
     def _simplify(self, rows):
-        rows = [r for r in (self._clean(r) for r in rows) if r]
-        # column -> the rows it entered, in order; an entry is stale once
-        # the column has left that row, and is skipped when visited
-        col_rows = {}
-        for ri, r in enumerate(rows):
-            for c in r:
-                col_rows.setdefault(c, []).append(ri)
-        alive = [True] * len(rows)
-        lowest = 0  # no alive row lies below it
-        eliminated_cols = set()
-        while True:
-            while lowest < len(rows) and not alive[lowest]:
-                lowest += 1
-            pick = None
-            for ri in range(lowest, len(rows)):
-                if alive[ri]:
-                    c = min((c for c, v in rows[ri].items() if v == 1 or v == -1), default=None)
-                    if c is not None:
-                        pick = (ri, c)
-                        break
-            if pick is None:
-                break
-            ri, c = pick
-            r = rows[ri]
+        # forms[c]: e_c over the columns alive when stamps[c] was the pivot
+        # count; its columns eliminated since then are substituted on demand
+        forms, stamps = {}, {}
+        eliminations = []
+        deferred = []  # reduced rows with no ±1 entry, in row order
+
+        def fresh(c):
+            """Bring the form of c, and every form it needs, up to date."""
+            n = len(eliminations)
+            stack = [c]
+            while stack:
+                d = stack[-1]
+                if stamps[d] == n:
+                    stack.pop()
+                    continue
+                stale = [c2 for c2 in forms[d] if c2 in forms and stamps[c2] != n]
+                if stale:
+                    stack += stale
+                    continue
+                forms[d] = _substitute(forms[d], forms)
+                stamps[d] = n
+                stack.pop()
+
+        def reduce(r):
+            eliminated = [c for c in r if c in forms]
+            if not eliminated:
+                return r
+            for c in eliminated:
+                fresh(c)
+            return _substitute(r, forms)
+
+        def pivot(r):
+            """Eliminate r's smallest ±1 column, if it has one."""
+            c = min((c for c, v in r.items() if v == 1 or v == -1), default=None)
+            if c is None:
+                return False
             sign = r[c]
             # e_c = -sign * (rest of the row)
-            expr = {c2: -sign * v for c2, v in r.items() if c2 != c}
-            self._eliminations.append((c, expr))
-            eliminated_cols.add(c)
-            alive[ri] = False
-            for other in col_rows.pop(c):
-                if not alive[other]:
-                    continue
-                row_o = rows[other]
-                k = row_o.pop(c, 0)
-                if not k:
-                    continue
-                for c2, v in expr.items():
-                    x = row_o.get(c2)
-                    if x is None:  # c2 enters the row
-                        row_o[c2] = k * v
-                        col_rows[c2].append(other)
-                        continue
-                    x += k * v
-                    if x:
-                        row_o[c2] = x
-                    else:
-                        del row_o[c2]
-                if not row_o:
-                    alive[other] = False
+            expr = {c2: -sign * r[c2] for c2 in sorted(r) if c2 != c}
+            eliminations.append((c, expr))
+            forms[c] = expr
+            stamps[c] = len(eliminations)
+            return True
 
-        self.core_cols = sorted(
-            set(range(self.ngens)) - eliminated_cols
-        )
-        self._col_pos = {c: i for i, c in enumerate(self.core_cols)}
-        self.core_rows = [
-            tuple(r.get(c, 0) for c in self.core_cols)
-            for r, a in zip(rows, alive)
-            if a
-        ]
+        for r in rows:
+            r = reduce(self._clean(r))
+            if not r:
+                continue
+            if not pivot(r):
+                deferred.append(r)
+                continue
+            # the lowest deferred row that now has a ±1 entry is the next
+            # pivot; after it, the rows before it may have gained one too
+            i = 0
+            while i < len(deferred):
+                r = reduce(deferred[i])
+                if not r:
+                    del deferred[i]
+                elif pivot(r):
+                    del deferred[i]
+                    i = 0
+                else:
+                    deferred[i] = r
+                    i += 1
+
+        # images in reverse elimination order: each form's eliminated
+        # columns were eliminated later, so their images are complete
+        images = {}
+        for c, _ in reversed(eliminations):
+            images[c] = _substitute(forms[c], images)
+        self._eliminations = eliminations
+        self.core_cols = sorted(set(range(self.ngens)) - images.keys())
+        pos = {c: i for i, c in enumerate(self.core_cols)}
+        # generator -> its image as (core position, coefficient) pairs
+        self._images = {c: ((i, 1),) for c, i in pos.items()}
+        for c, img in images.items():
+            self._images[c] = tuple((pos[c2], v) for c2, v in img.items())
+        self.core_rows = [tuple(r.get(c, 0) for c in self.core_cols) for r in deferred]
         if self.core_rows:
             h, _ = hermite_normal_form(IntMatrix.from_rows(self.core_rows))
             self._reduction = [r for r in h.entries if any(r)]
@@ -108,7 +154,8 @@ class Presentation:
     @property
     def eliminations(self):
         """The unit-pivot substitutions in the order they were made, as
-        ``(col, {col2: coeff})`` pairs meaning e_col = sum coeff * e_col2."""
+        ``(col, {col2: coeff})`` pairs meaning e_col = sum coeff * e_col2,
+        each expression sorted by column."""
         return tuple(self._eliminations)
 
     @staticmethod
@@ -118,21 +165,13 @@ class Presentation:
     # -- vectors ---------------------------------------------------------
 
     def to_core(self, vec):
-        """Push a sparse or dense vector down to core coordinates."""
-        if isinstance(vec, dict):
-            work = dict(vec)
-        else:
-            work = {i: v for i, v in enumerate(vec) if v}
-        for c, expr in self._eliminations:
-            k = work.pop(c, 0)
-            if k:
-                for c2, v in expr.items():
-                    work[c2] = work.get(c2, 0) + k * v
-                    if work[c2] == 0:
-                        del work[c2]
+        """Push a sparse or dense vector down to core coordinates: the sum
+        of each generator's image, computed once by the elimination."""
         out = [0] * len(self.core_cols)
-        for c, v in work.items():
-            out[self._col_pos[c]] = v
+        for c, k in vec.items() if isinstance(vec, dict) else enumerate(vec):
+            if k:
+                for i, v in self._images[c]:
+                    out[i] += k * v
         return tuple(out)
 
     def normal_form(self, vec):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -67,7 +68,8 @@ def test_kernel_mod_lattice_empty_matrix():
 def _reference_simplify(ngens, rows):
     """The elimination as first written: at every pivot, scan the alive
     rows in sorted order and each row's columns in sorted order for the
-    first ±1 entry.  Returns (eliminations, core_cols, core_rows)."""
+    first ±1 entry.  Returns (eliminations, core_cols, core_rows), each
+    expression sorted by column."""
     rows = [{c: v for c, v in r.items() if v} for r in rows]
     rows = [r for r in rows if r]
     eliminations = []
@@ -113,13 +115,14 @@ def _reference_simplify(ngens, rows):
         col_rows.pop(c, None)
     core_cols = sorted(set(range(ngens)) - eliminated_cols)
     core_rows = [tuple(rows[ri].get(c, 0) for c in core_cols) for ri in sorted(alive) if rows[ri]]
+    eliminations = [(c, dict(sorted(expr.items()))) for c, expr in eliminations]
     return eliminations, core_cols, core_rows
 
 
 def _assert_matches_reference(ngens, rows):
     want_elims, want_cols, want_rows = _reference_simplify(ngens, [dict(r) for r in rows])
     p = Presentation(ngens, rows)
-    # dict order is part of the output: it fixes the order of to_core's sums
+    # each expression is emitted sorted by column, so its order is checked too
     assert [(c, list(e.items())) for c, e in p.eliminations] == [
         (c, list(e.items())) for c, e in want_elims
     ]
@@ -156,14 +159,98 @@ def test_elimination_column_leaves_a_row_and_enters_again():
     assert (p.core_cols, p.core_rows) == ([2, 3, 5, 6], [(2, 0, -14, 6)])
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_elimination_matches_reference_on_seeded_sparse_rows(seed):
-    rng = random.Random(7000 + seed)
+def _seeded_presentations(rng, max_row_len):
     values = [1, -1, 1, -1, 2, -2, 3, -3, 0]
     for _ in range(40):
         ngens = rng.randint(1, 30)
         rows = [
-            {rng.randrange(ngens): rng.choice(values) for _ in range(rng.randint(0, 5))}
+            {rng.randrange(ngens): rng.choice(values) for _ in range(rng.randint(0, max_row_len))}
             for _ in range(rng.randint(0, 40))
         ]
+        yield ngens, rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_elimination_matches_reference_on_seeded_sparse_rows(seed):
+    for ngens, rows in _seeded_presentations(random.Random(7000 + seed), 5):
         _assert_matches_reference(ngens, rows)
+
+
+def _oracle_to_core(eliminations, core_cols, vec):
+    """Substitute the eliminations one by one, in the order they were made."""
+    work = dict(vec) if isinstance(vec, dict) else dict(enumerate(vec))
+    for c, expr in eliminations:
+        k = work.pop(c, 0)
+        for c2, v in expr.items():
+            work[c2] = work.get(c2, 0) + k * v
+    assert not any(v for c, v in work.items() if c not in core_cols)
+    return tuple(work.get(c, 0) for c in core_cols)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("max_row_len", [5, 25])
+def test_to_core_matches_substitution_oracle(seed, max_row_len):
+    rng = random.Random(7100 + seed)
+    non_free = 0
+    for ngens, rows in _seeded_presentations(rng, max_row_len):
+        want_elims, want_cols, want_rows = _reference_simplify(ngens, [dict(r) for r in rows])
+        p = Presentation(ngens, rows)
+        non_free += bool(want_rows)
+        vectors = [{g: 1} for g in range(ngens)]
+        vectors += [[rng.randint(-5, 5) for _ in range(ngens)] for _ in range(3)]
+        vectors += [{rng.randrange(ngens): rng.randint(-5, 5) for _ in range(4)} for _ in range(3)]
+        for vec in vectors:
+            assert p.to_core(vec) == _oracle_to_core(want_elims, want_cols, vec)
+    assert non_free >= 10  # the cores are not all free
+
+
+def test_elimination_long_chain_needs_no_recursion():
+    # e_i = e_{i+1} for 5000 links; the last row reaches back to e_0, so its
+    # form is refreshed through the whole chain at once
+    n = 5000
+    rows = [{i: 1, i + 1: -1} for i in range(n)] + [{0: 2}]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        p = Presentation(n + 1, rows)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p.eliminations == tuple((i, {i + 1: 1}) for i in range(n))
+    assert (p.core_cols, p.core_rows) == ([n], [(2,)])
+    assert p.to_core({0: 1, 17: 3}) == (4,)
+    assert p.group().invariants() == (0, (2,))
+
+
+def test_elimination_hub_column_matches_reference():
+    # column 0 sits in 1000 rows; the chain rows between them eliminate it
+    # as +(column 1), then column 1 as +(column 2), and so on, so the later
+    # rows and the deferred ones reduce through the whole chain of forms
+    rng = random.Random(7200)
+    hub_rows = [
+        {
+            0: rng.choice([2, -2, 3]),
+            rng.randrange(1, 60): rng.choice([2, -3]),
+            60 + i: rng.choice([1, -1, 1, 2]),
+        }
+        for i in range(1000)
+    ]
+    chain = [{i: 1, i + 1: -1} for i in range(59)]
+    rows = hub_rows[:500] + chain + hub_rows[500:]
+    p = _assert_matches_reference(1060, rows)
+    assert set(range(60)) <= {c for c, _ in p.eliminations}
+    assert len(p.core_rows) > 200
+
+
+def test_elimination_row_deferred_twice_before_it_gains_a_unit():
+    # row 0 has no ±1 entry, and still none after e1 = e2 + e3 (3 e2 + 3 e3
+    # + 2 e5); e3 = -e5 leaves it 3 e2 - e5, so e5 is the next pivot, ahead
+    # of row 3's pivot on e2
+    rows = [{5: 2, 1: 3}, {1: 1, 2: -1, 3: -1}, {3: 1, 5: 1}, {2: 1, 4: 1}]
+    p = _assert_matches_reference(6, rows)
+    assert [c for c, _ in p.eliminations] == [1, 3, 5, 2]
+
+
+@pytest.mark.parametrize("column", [5, -1])
+def test_presentation_rejects_a_column_out_of_range(column):
+    with pytest.raises(ValueError, match="not in range"):
+        Presentation(2, [{0: 2, column: 3}])
