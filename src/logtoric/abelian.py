@@ -24,7 +24,9 @@ columns, and ``to_core`` sums the images of a vector's generators.
 
 Every solve modulo a relation lattice, here and in the cubical complex,
 goes through ``intlinalg.LatticeSolver``: one Hermite normal form of the
-stacked vectors, then back-substitution per right-hand side.
+stacked vectors, then back-substitution per right-hand side.  Every
+normal form reduces the core image through ``intlinalg.HermiteBasis``,
+the Hermite rows of the core relations with their pivot columns.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from __future__ import annotations
 
 from .intlinalg import (
     FPAbelianGroup,
+    HermiteBasis,
     IntMatrix,
     LatticeSolver,
-    hermite_normal_form,
-    hnf_reduce,
     kernel_basis,
 )
 
@@ -145,11 +146,7 @@ class Presentation:
         for c, img in images.items():
             self._images[c] = tuple((pos[c2], v) for c2, v in img.items())
         self.core_rows = [tuple(r.get(c, 0) for c in self.core_cols) for r in deferred]
-        if self.core_rows:
-            h, _ = hermite_normal_form(IntMatrix.from_rows(self.core_rows))
-            self._reduction = [r for r in h.entries if any(r)]
-        else:
-            self._reduction = []
+        self._basis = HermiteBasis(self.core_rows)
 
     @property
     def eliminations(self):
@@ -175,7 +172,7 @@ class Presentation:
         return tuple(out)
 
     def normal_form(self, vec):
-        return hnf_reduce(self.to_core(vec), self._reduction)
+        return self._basis.reduce(self.to_core(vec))
 
     def is_zero(self, vec) -> bool:
         return not any(self.normal_form(vec))
@@ -185,13 +182,13 @@ class Presentation:
 
     def relation_lattice_rows(self):
         """Basis rows of the relation lattice in core coordinates."""
-        return list(self._reduction)
+        return list(self._basis.rows)
 
     def solve_combination(self, vectors, targets):
         """For each target, integer coefficients x with sum x_i vectors_i
         = target in this quotient, or None.  The vectors are factored
         once for all targets; vectors and targets may be sparse dicts."""
-        solver = LatticeSolver([self.to_core(v) for v in vectors], self._reduction)
+        solver = LatticeSolver([self.to_core(v) for v in vectors], self._basis.rows)
         return [solver.solve(self.to_core(t)) for t in targets]
 
 
@@ -210,8 +207,5 @@ def kernel_mod_lattice(matrix_rows, lattice_rows, ncols):
         tuple(row) + tuple(-l[i] for l in lattice_rows)
         for i, row in enumerate(matrix_rows)
     ]
-    vparts = [k[:ncols] for k in kernel_basis(IntMatrix.from_rows(aug))]
-    if not vparts:
-        return []
-    h, _ = hermite_normal_form(IntMatrix.from_rows(vparts))
-    return [tuple(r) for r in h.entries if any(r)]
+    kernel = kernel_basis(IntMatrix.from_rows(aug))
+    return list(HermiteBasis(k[:ncols] for k in kernel).rows)

@@ -41,9 +41,8 @@ from .fans import (
 )
 from .intlinalg import (
     FPAbelianGroup,
+    HermiteBasis,
     IntMatrix,
-    hermite_normal_form,
-    hnf_reduce,
     kernel_basis,
     solve_integer,
 )
@@ -64,17 +63,18 @@ def _check_smooth_complete(fan: Fan):
 
 
 def presentation_data(fan: Fan, q: int):
-    """(generator cones, relation rows, reduction rows) for CH^q.
+    """(generator cones, relation rows, Hermite basis) for CH^q.
 
-    The reduction rows are the HNF of the relation lattice; reducing a
-    coordinate vector against them is the canonical normal form.
+    The Hermite basis holds the HNF of the relation lattice; its
+    ``reduce`` gives a coordinate vector's canonical normal form.
     """
     key = (fan, q)
-    if key in _PRESENTATIONS:
-        return _PRESENTATIONS[key]
+    out = _PRESENTATIONS.get(key)  # one hash of the fan per lookup
+    if out is not None:
+        return out
     _check_smooth_complete(fan)
     if q < 0 or q > fan.rank:
-        _PRESENTATIONS[key] = ((), [], [])
+        _PRESENTATIONS[key] = ((), [], HermiteBasis(()))
         return _PRESENTATIONS[key]
     gens = [tuple(c) for c in fan.cone_indices_of_dim(q)]
     pos = {c: i for i, c in enumerate(gens)}
@@ -103,11 +103,7 @@ def presentation_data(fan: Fan, q: int):
                     row[pos[sigma]] = dot(m, fan.rays[rho])
                 if any(row):
                     rows.append(tuple(row))
-    reduction = []
-    if rows:
-        h, _ = hermite_normal_form(IntMatrix.from_rows(rows))
-        reduction = [r for r in h.entries if any(r)]
-    out = (tuple(gens), rows, reduction)
+    out = (tuple(gens), rows, HermiteBasis(rows))
     _PRESENTATIONS[key] = out
     return out
 
@@ -131,7 +127,7 @@ class ChowClass:
 def make_class(fan: Fan, q: int, coeffs) -> ChowClass:
     """Class from {generator cone: coefficient}; coordinates are reduced
     to the canonical normal form."""
-    gens, _, reduction = presentation_data(fan, q)
+    gens, _, _ = presentation_data(fan, q)
     vec = [0] * len(gens)
     pos = {c: i for i, c in enumerate(gens)}
     for cone, coeff in coeffs.items():
@@ -139,7 +135,7 @@ def make_class(fan: Fan, q: int, coeffs) -> ChowClass:
         if cone not in pos:
             raise ChowError(f"{cone} is not a {q}-dimensional cone of the fan")
         vec[pos[cone]] += int(coeff)
-    return ChowClass(fan, q, hnf_reduce(vec, reduction))
+    return _class_of(fan, q, vec)
 
 
 def zero_class(fan: Fan, q: int) -> ChowClass:
@@ -162,15 +158,11 @@ def classes_equal(a: ChowClass, b: ChowClass) -> bool:
 def add(a: ChowClass, b: ChowClass) -> ChowClass:
     if a.fan != b.fan or a.q != b.q:
         raise ChowError("cannot add classes of different type")
-    _, _, reduction = presentation_data(a.fan, a.q)
-    return ChowClass(
-        a.fan, a.q, hnf_reduce([x + y for x, y in zip(a.coords, b.coords)], reduction)
-    )
+    return _class_of(a.fan, a.q, [x + y for x, y in zip(a.coords, b.coords)])
 
 
 def scale(a: ChowClass, c: int) -> ChowClass:
-    _, _, reduction = presentation_data(a.fan, a.q)
-    return ChowClass(a.fan, a.q, hnf_reduce([c * x for x in a.coords], reduction))
+    return _class_of(a.fan, a.q, [c * x for x in a.coords])
 
 
 @lru_cache(maxsize=4096)
@@ -194,8 +186,7 @@ def _basis_rewrite_character(fan: Fan, sigma, rho):
 
 def _class_of(fan: Fan, q: int, coords) -> ChowClass:
     """Class of unreduced coordinates, in the canonical normal form."""
-    _, _, reduction = presentation_data(fan, q)
-    return ChowClass(fan, q, hnf_reduce(coords, reduction))
+    return ChowClass(fan, q, presentation_data(fan, q)[2].reduce(coords))
 
 
 def _times_divisor(fan: Fan, q: int, coords, divisor) -> list:
@@ -330,13 +321,13 @@ def map_divisors(cls: ChowClass, divisors: DivisorMap) -> ChowClass:
     representatives."""
     target = divisors.target
     gens, _, _ = presentation_data(cls.fan, cls.q)
-    out_gens, _, reduction = presentation_data(target, cls.q)
+    out_gens, _, _ = presentation_data(target, cls.q)
     acc = [0] * len(out_gens)
     for cone, c in zip(gens, cls.coords):
         if c:
             for k, x in divisors.image(cone):
                 acc[k] += c * x
-    return ChowClass(target, cls.q, hnf_reduce(acc, reduction))
+    return _class_of(target, cls.q, acc)
 
 
 def pullback_divisors(source: Fan, target: Fan):

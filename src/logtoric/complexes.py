@@ -232,13 +232,14 @@ def _assert_descends(colim_n: ColimitGroup, images, colim_prev: ColimitGroup):
         ({c: 1} | {c2: -v for c2, v in expr.items()} for c, expr in pres.eliminations),
         ({g: v for g, v in zip(pres.core_cols, row) if v} for row in pres.core_rows),
     )
+    # most images have a few nonzeros: keep them, keyed by target generator
+    sparse = [[(target.core_cols[k], x) for k, x in enumerate(im) if x] for im in images]
     for relation in relations:
-        acc = [0] * len(target.core_cols)
+        acc = {}
         for g, v in relation.items():
-            for k, x in enumerate(images[g]):
-                if x:  # most images have a few nonzeros
-                    acc[k] += v * x
-        if not target.is_zero({target.core_cols[k]: v for k, v in enumerate(acc) if v}):
+            for c, x in sparse[g]:
+                acc[c] = acc.get(c, 0) + v * x
+        if not target.is_zero(acc):
             raise ComplexError("face map does not descend to the colimit")
 
 

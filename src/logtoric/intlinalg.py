@@ -7,13 +7,17 @@ width integers on very ordinary inputs.
 
 Matrices are immutable tuples of tuples of ints, row major.  A matrix
 ``m`` is read as the map ``Z^cols -> Z^rows`` sending ``x`` to ``m @ x``.
+
+Every Hermite form runs one echelon routine, ``_echelon``: with the
+transform as trailing entries of the rows in ``hermite_normal_form``,
+without it in ``HermiteBasis`` (the reduction basis), ``det`` and ``rank``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,53 @@ def _negate_row(m, i):
 
 def _add_row(m, dst, src, c):
     if c:
-        row_s = m[src]
-        m[dst] = [a + c * b for a, b in zip(m[dst], row_s)]
+        m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
+
+
+def _echelon(h, ncols):
+    """Bring the rows ``h`` (lists, changed in place) to row Hermite
+    normal form in their first ``ncols`` entries; any further entries of a
+    row (a transform, say) take part in every row operation.
+
+    The form is row echelon with positive pivots and the entries above
+    each pivot reduced to ``0 <= entry < pivot``.  Returns the pivot
+    column of each nonzero row, in order, and the determinant (±1) of the
+    row operations: each swap and each negation flips it.
+    """
+    nrows = len(h)
+    pivots = []
+    sign = 1
+    for col in range(ncols):
+        t = len(pivots)
+        if t == nrows:
+            break
+        # move a nonzero entry of least magnitude up, then gcd out the
+        # column below it; a nonzero remainder is smaller, so this ends
+        while True:
+            nz = [i for i in range(t, nrows) if h[i][col] != 0]
+            if not nz:
+                break
+            i_min = min(nz, key=lambda i: abs(h[i][col]))
+            if i_min != t:
+                _swap_rows(h, t, i_min)
+                sign = -sign
+            if len(nz) == 1:
+                break
+            p = h[t][col]
+            for i in range(t + 1, nrows):
+                if h[i][col] != 0:
+                    _add_row(h, i, t, -(h[i][col] // p))
+        if not nz:  # nothing at or below row t: no pivot in this column
+            continue
+        if h[t][col] < 0:
+            _negate_row(h, t)
+            sign = -sign
+        p = h[t][col]
+        for i in range(t):
+            # floor division: leaves 0 <= remainder < p
+            _add_row(h, i, t, -(h[i][col] // p))
+        pivots.append(col)
+    return pivots, sign
 
 
 def hermite_normal_form(m: IntMatrix):
@@ -115,53 +164,44 @@ def hermite_normal_form(m: IntMatrix):
 
     Returns ``(H, U)`` with ``H = U @ m``, ``U`` unimodular, ``H`` in
     row echelon form with positive pivots and entries above each pivot
-    reduced to ``0 <= entry < pivot``.
+    reduced to ``0 <= entry < pivot``.  ``U`` is carried as the trailing
+    block of the rows ``[m | I]``.
     """
-    h = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-    pivot_row = 0
-    for col in range(m.cols):
-        # gcd out the column below the pivot row
-        nz = [i for i in range(pivot_row, m.rows) if h[i][col] != 0]
-        if not nz:
-            continue
-        # move a nonzero entry of least magnitude up, then eliminate
-        while True:
-            nz = [i for i in range(pivot_row, m.rows) if h[i][col] != 0]
-            if len(nz) == 1:
-                if nz[0] != pivot_row:
-                    _swap_rows(h, pivot_row, nz[0])
-                    _swap_rows(u, pivot_row, nz[0])
-                break
-            i_min = min(nz, key=lambda i: abs(h[i][col]))
-            if i_min != pivot_row:
-                _swap_rows(h, pivot_row, i_min)
-                _swap_rows(u, pivot_row, i_min)
-            p = h[pivot_row][col]
-            done = True
-            for i in range(pivot_row + 1, m.rows):
-                if h[i][col] != 0:
-                    q = h[i][col] // p
-                    _add_row(h, i, pivot_row, -q)
-                    _add_row(u, i, pivot_row, -q)
-                    if h[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if h[pivot_row][col] < 0:
-            _negate_row(h, pivot_row)
-            _negate_row(u, pivot_row)
-        p = h[pivot_row][col]
-        for i in range(pivot_row):
-            q = h[i][col] // p  # floor division: leaves 0 <= remainder < p
-            _add_row(h, i, pivot_row, -q)
-            _add_row(u, i, pivot_row, -q)
-        pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    H = IntMatrix.from_rows(h) if h else IntMatrix.zero(0, m.cols)
-    U = IntMatrix.from_rows(u) if u else IntMatrix.zero(0, 0)
+    k = m.cols
+    rows = [list(r) + list(e) for r, e in zip(m.entries, IntMatrix.identity(m.rows).entries)]
+    _echelon(rows, k)
+    H = IntMatrix.from_rows([r[:k] for r in rows]) if rows else IntMatrix.zero(0, k)
+    U = IntMatrix.from_rows([r[k:] for r in rows]) if rows else IntMatrix.zero(0, 0)
     return H, U
+
+
+class HermiteBasis:
+    """The nonzero rows of the Hermite normal form of ``rows``, with their
+    pivot columns, built without a transform.
+
+    ``reduce`` gives the canonical representative of a vector modulo the
+    lattice the rows span (Cohen, §2.4.2): each pivot entry is brought
+    into ``0 <= entry < pivot``, in row order.
+    """
+
+    __slots__ = ("rows", "_pivots")
+
+    def __init__(self, rows):
+        h = [list(r) for r in rows]
+        self._pivots = _echelon(h, len(h[0]) if h else 0)[0]
+        self.rows = tuple(tuple(r) for r in h[: len(self._pivots)])
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vec) -> tuple:
+        out = list(vec)
+        for lead, row in zip(self._pivots, self.rows):
+            c = out[lead] // row[lead]
+            if c:
+                for j in range(lead, len(out)):
+                    out[j] -= c * row[j]
+        return tuple(out)
 
 
 def _add_col(mat, dst, src, c):
@@ -265,39 +305,19 @@ def smith_normal_form(m: IntMatrix):
 
 
 def det(m: IntMatrix) -> int:
-    """Determinant of a square integer matrix, exactly."""
+    """Determinant of a square integer matrix, exactly: the product of the
+    Hermite pivots, signed by the transform."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    a = [list(r) for r in m.entries]
-    n = m.rows
-    sign = 1
-    result = 1
-    for t in range(n):
-        nz = [i for i in range(t, n) if a[i][t] != 0]
-        if not nz:
-            return 0
-        while True:
-            nz = [i for i in range(t, n) if a[i][t] != 0]
-            if len(nz) == 1:
-                if nz[0] != t:
-                    _swap_rows(a, t, nz[0])
-                    sign = -sign
-                break
-            i_min = min(nz, key=lambda i: abs(a[i][t]))
-            if i_min != t:
-                _swap_rows(a, t, i_min)
-                sign = -sign
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, i, t, -q)
-        result *= a[t][t]
-    return sign * result
+    h = [list(r) for r in m.entries]
+    pivots, sign = _echelon(h, m.cols)
+    if len(pivots) < m.rows:
+        return 0
+    return sign * prod(h[t][t] for t in range(m.rows))
 
 
 def rank(m: IntMatrix) -> int:
-    h, _ = hermite_normal_form(m)
-    return sum(1 for r in h.entries if any(x != 0 for x in r))
+    return len(HermiteBasis(m.entries))
 
 
 class LatticeSolver:
@@ -314,6 +334,7 @@ class LatticeSolver:
     def __init__(self, columns, lattice=()):
         self._ncols = len(columns)
         h, u = hermite_normal_form(IntMatrix.from_rows(list(columns) + list(lattice)))
+        self._width = h.cols if h.rows else None  # None: no stacked vectors
         self._pivots = []  # (lead, echelon row, U row cut to the columns)
         self._kernel = []
         for row, urow in zip(h.entries, u.entries):
@@ -326,6 +347,8 @@ class LatticeSolver:
     def solve(self, target):
         """Coefficients on the columns, or None if the target is no
         combination of them modulo the lattice."""
+        if self._width is not None and len(target) != self._width:
+            raise ValueError("shape mismatch")
         residue = list(target)
         x = [0] * self._ncols
         for lead, row, urow in self._pivots:
@@ -361,20 +384,6 @@ def solve_integer(m: IntMatrix, target):
     if len(target) != m.rows:
         raise ValueError("shape mismatch")
     return LatticeSolver(m.transpose().entries).solve(target)
-
-
-def hnf_reduce(coords, reduction):
-    """Canonical representative of ``coords`` modulo the lattice whose
-    Hermite normal form has the nonzero rows ``reduction``."""
-    coords = list(coords)
-    for row in reduction:
-        lead = next(j for j, x in enumerate(row) if x != 0)
-        if coords[lead] != 0:
-            c = coords[lead] // row[lead]
-            if c:
-                for j in range(lead, len(coords)):
-                    coords[j] -= c * row[j]
-    return tuple(coords)
 
 
 def lattice_member(basis_rows, vec) -> bool:

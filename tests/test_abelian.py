@@ -1,5 +1,7 @@
+import itertools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -60,6 +62,68 @@ def test_kernel_mod_lattice():
 def test_kernel_mod_lattice_empty_matrix():
     ker = kernel_mod_lattice([], [], 3)
     assert len(ker) == 3
+
+
+def _integral_span(rows, vec):
+    """Is ``vec`` an integer combination of the linearly independent
+    ``rows``?  Rational elimination, then an integrality check."""
+    cols = len(vec)
+    # solve x @ rows = vec: one equation per coordinate, one unknown per row
+    aug = [[Fraction(r[k]) for r in rows] + [Fraction(vec[k])] for k in range(cols)]
+    lead = 0
+    for j in range(len(rows)):
+        p = next((i for i in range(lead, cols) if aug[i][j]), None)
+        assert p is not None, "rows must be independent"
+        aug[lead], aug[p] = aug[p], aug[lead]
+        aug[lead] = [x / aug[lead][j] for x in aug[lead]]
+        for i in range(cols):
+            if i != lead and aug[i][j]:
+                f = aug[i][j]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[lead])]
+        lead += 1
+    if any(aug[i][-1] for i in range(lead, cols)):
+        return False
+    return all(aug[i][-1].denominator == 1 for i in range(lead))
+
+
+def _rational_rank(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_mod_lattice_with_a_lattice_matches_enumeration_in_a_box(seed):
+    # Oracle: in the box [-3, 3]^ncols, v is a combination of the returned
+    # basis exactly when M v lies in the lattice, both read by rational
+    # elimination with an integrality check.
+    rng = random.Random(1500 + seed)
+    for _ in range(12):
+        ncols, nrows = rng.randint(1, 3), rng.randint(1, 3)
+        matrix = [tuple(rng.randint(-3, 3) for _ in range(ncols)) for _ in range(nrows)]
+        while True:
+            lattice = [
+                tuple(rng.choice([2, 3, 4]) * rng.randint(-2, 2) for _ in range(nrows))
+                for _ in range(rng.randint(1, nrows))
+            ]
+            if _rational_rank(lattice) == len(lattice):
+                break
+        basis = kernel_mod_lattice(matrix, lattice, ncols)
+        assert _rational_rank(basis) == len(basis)
+        for v in itertools.product(range(-3, 4), repeat=ncols):
+            image = tuple(sum(a * x for a, x in zip(row, v)) for row in matrix)
+            assert _integral_span(basis, v) == _integral_span(lattice, image), (
+                matrix, lattice, v,
+            )
 
 
 # -- unit-pivot elimination against the re-sorting reference --------------------

@@ -14,6 +14,7 @@ from logtoric.chow import (
 )
 from logtoric.complexes import (
     ComplexError,
+    NormalizedComplex,
     _close_under_faces,
     _face_matrix,
     build_colimit,
@@ -567,7 +568,6 @@ def test_build_complex_derives_face_data_once_per_node(monkeypatch):
 
 
 def test_homology_factors_its_relations_once_per_degree(monkeypatch):
-    import logtoric.abelian as abelian
     import logtoric.intlinalg as intlinalg
 
     cx = build_complex(1, 0, 2, 2)
@@ -576,17 +576,39 @@ def test_homology_factors_its_relations_once_per_degree(monkeypatch):
         len(d) for d in cx.differentials
     )
     calls = []
-    hnf = intlinalg.hermite_normal_form
+    echelon = intlinalg._echelon
 
-    def counted(m):
-        calls.append(m.rows)
-        return hnf(m)
+    # every Hermite form, with or without a transform, runs this routine
+    def counted(h, ncols):
+        calls.append(len(h))
+        return echelon(h, ncols)
 
-    monkeypatch.setattr(intlinalg, "hermite_normal_form", counted)
-    monkeypatch.setattr(abelian, "hermite_normal_form", counted)
+    monkeypatch.setattr(intlinalg, "_echelon", counted)
     assert [h.invariants() for h in homology(cx)] == expected
     # per degree: the cycle kernel (two forms) and one solver for the relations
     assert len(calls) <= 3 * (cx.n_max + 1) < relations
+
+
+def test_homology_with_torsion_chain_groups():
+    # Hand-built: C_0 = Z/4 <a>, C_1 = Z<e> + Z/2<f>, C_2 = Z<g> + Z/3<h>,
+    # d(e) = d(f) = 2a, d(g) = 2e, d(h) = 0.  d(d(g)) = 4a = 0.
+    # H_0 = Z/4 / <2a> = Z/2.  Cycles of degree 1: {xe + yf : 2x + 2y in 4Z},
+    # spanned by e + f and 2f; modulo 2f = 0 and 2e = 2(e + f) - 2f that is
+    # Z/2.  Cycles of degree 2: d(xg + yh) = 2xe vanishes only for x = 0,
+    # so H_2 = <h> = Z/3.
+    cx = NormalizedComplex(
+        q=0, r=0, n_max=2, depth=0, diagrams=[], colimits=[],
+        chain_bases=[[(1,)], [(1, 0), (0, 1)], [(1, 0), (0, 1)]],
+        chain_relations=[[(4,)], [(0, 2)], [(0, 3)]],
+        differentials=[[], [(2,), (2,)], [(2, 0), (0, 0)]],
+    )
+    assert [cx.chain_group(n).invariants() for n in range(3)] == [
+        (0, (4,)), (1, (2,)), (1, (3,)),
+    ]
+    assert [homology_generators(cx, n) for n in range(3)] == [
+        [(1,)], [(1, 1), (0, 2)], [(0, 1)],
+    ]
+    assert [h.invariants() for h in homology(cx)] == [(0, (2,)), (0, (2,)), (0, (3,))]
 
 
 # -- the internal data of the complex, frozen -----------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from logtoric.intlinalg import (
     FPAbelianGroup,
+    HermiteBasis,
     IntMatrix,
     LatticeSolver,
     cokernel,
@@ -186,6 +187,111 @@ def test_lattice_member():
     assert not lattice_member(basis, (1, 0))
     assert lattice_member([], (0, 0))
     assert not lattice_member([], (1, 0))
+
+
+@pytest.mark.parametrize("target", [(1,), (1, 0, 0)])
+def test_lattice_solver_rejects_a_target_of_the_wrong_width(target):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        LatticeSolver([(1, 0)]).solve(target)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        LatticeSolver([(2, 0)], [(0, 3)]).solve(target)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        lattice_member([(1, 0)], target)
+    assert LatticeSolver([(1, 0)]).solve((1, 0)) == (1,)
+
+
+# -- the Hermite basis and the signed determinant, against references -----------
+
+
+def _hnf_reduce_reference(coords, reduction):
+    """The reducer ``HermiteBasis.reduce`` replaced: each row's leading
+    index is found again on every call."""
+    coords = list(coords)
+    for row in reduction:
+        lead = next(j for j, x in enumerate(row) if x != 0)
+        if coords[lead] != 0:
+            c = coords[lead] // row[lead]
+            if c:
+                for j in range(lead, len(coords)):
+                    coords[j] -= c * row[j]
+    return tuple(coords)
+
+
+def _seeded_rows(rng):
+    """A random matrix as a list of rows: sometimes zero, sometimes with a
+    row that is a combination of two others."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+    bound = rng.choice([1, 3, 9, 40])
+    rows = [
+        [rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    kind = rng.random()
+    if kind < 0.1:
+        rows = [[0] * ncols for _ in rows]
+    elif kind < 0.4 and nrows >= 3:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows, ncols
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hermite_basis_matches_hermite_normal_form_and_reference_reduce(seed):
+    rng = random.Random(1300 + seed)
+    seen_deficient = seen_zero = 0
+    for _ in range(250):
+        rows, ncols = _seeded_rows(rng)
+        m = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, ncols)
+        h, _ = hermite_normal_form(m)
+        nonzero = [r for r in h.entries if any(r)]
+        basis = HermiteBasis(rows)
+        assert list(basis.rows) == nonzero
+        assert len(basis) == len(nonzero) == rank(m)
+        seen_zero += not nonzero
+        seen_deficient += 0 < len(nonzero) < len(rows)
+        for _ in range(4):
+            vec = [rng.randint(-60, 60) for _ in range(ncols)]
+            reduced = basis.reduce(vec)
+            assert reduced == _hnf_reduce_reference(vec, nonzero)
+            # the normal form is canonical: adding a lattice vector keeps it
+            shifted = list(vec)
+            for row in rows:
+                c = rng.randint(-3, 3)
+                shifted = [x + c * y for x, y in zip(shifted, row)]
+            assert basis.reduce(shifted) == reduced
+    assert seen_zero and seen_deficient
+
+
+def test_hermite_basis_of_no_rows_reduces_nothing():
+    basis = HermiteBasis([])
+    assert (basis.rows, len(basis), basis.reduce((3, -1))) == ((), 0, (3, -1))
+    assert HermiteBasis([(0, 0), (0, 0)]).rows == ()
+
+
+def _laplace_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_signed_det_matches_laplace_expansion(n):
+    rng = random.Random(1400 + n)
+    signs = set()
+    for _ in range(80):
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.2:
+            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+        m = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, 0)
+        want = _laplace_det(rows)
+        assert det(m) == want
+        signs.add((want > 0) - (want < 0))
+    assert signs == ({1} if n == 0 else {-1, 0, 1})
 
 
 def test_group_repr():
