@@ -19,8 +19,11 @@ and a star subdivision at a face is the combinatorial split
 ``sigma - {i} + {v}``.  ``is_smooth``, ``is_complete``,
 ``subdivision_witness``, ``star_subdivide`` and ``hyperplane_slice``
 take this path by themselves; every other fan (lower dimensional or
-non-smooth maximal cones, ``resolve`` input) keeps the double
-description of ``cones``, which is also the kernel's test oracle.
+non-smooth maximal cones) keeps the double description of ``cones``,
+which is also the kernel's test oracle.  Once ``resolve`` has
+triangulated, it builds each maximal cone's double description once, for
+its multiplicity and parallelepiped points, and splits by the same
+index-set rule, its centers read off those points.
 ``product`` and ``insert_p1_coordinate`` build fans by construction, so
 they validate their inputs, not their output.
 """
@@ -412,10 +415,27 @@ def _star_subdivide_unimodular(fan: Fan, center, table):
         _in_unimodular(duals, point) for h, duals in zip(hold, table) if not h
     ):
         return None
+    return _split_at_center(fan, center, point)
+
+
+def _split_at_center(fan: Fan, center, point):
+    """Star subdivision at the new ray ``point`` read off index sets:
+    with ``v`` the index of ``point``, each maximal cone that holds every
+    ray of ``center`` becomes ``mc - {i} + {v}`` for each center ray
+    ``i``, and every other maximal cone is kept.  Returns ``(fan, step)``.
+
+    Exact when the maximal cones holding ``center`` are simplicial,
+    ``point`` lies in the relative interior of the cone the center spans
+    and in no other maximal cone: a simplicial cone holding ``point``
+    splits off its facets that miss ``point``, the facets dropping one
+    center ray.  The pieces are full-dimensional inside their parents, so
+    no containments arise between the new maximal cones.
+    """
+    center_set = set(center)
     v = len(fan.rays)
     new_max = set()
-    for mc, h in zip(fan.maximal_cones, hold):
-        if not h:
+    for mc in fan.maximal_cones:
+        if not center_set.issubset(mc):
             new_max.add(mc)
             continue
         for i in center:
@@ -640,7 +660,22 @@ def resolve(fan: Fan):
     cone, and such a point can never sit inside a smooth face.  The
     non-smooth cone of largest multiplicity is processed first, with
     deterministic tie-breaking, so reruns are bit-identical.
+
+    The input must be a fan; it is validated (once per distinct fan, see
+    ``_validate_once``).  Non-simplicial cones are first triangulated by
+    starring at their own rays.  After that, each step inserts a point
+    ``p = sum lam_i u_i`` of the worst cone sigma's parallelepiped, and
+    its center is read off ``lam``: the rays ``u_i`` with ``lam_i > 0``
+    span the smallest face of sigma containing ``p``.  In a fan, a
+    maximal cone that holds ``p`` meets sigma in a face of both that
+    contains ``p``, so that face contains the center; and a cone holding
+    the center holds ``p``.  So the step is the index-set split of
+    ``_split_at_center``, with no point location.  A step only appends a
+    ray, so ray indices stay valid, and each maximal cone's ``Cone`` (and
+    its cached multiplicity) is built once and kept while the cone
+    survives.
     """
+    _validate_once(fan)
     steps = []
     # triangulate non-simplicial cones by starring at their own rays
     guard = 0
@@ -652,18 +687,20 @@ def resolve(fan: Fan):
         fan, step = star_subdivide_at_point(fan, bad.rays[0])
         steps.append(step)
 
+    cones = {}
     while True:
+        cones = {mc: cones[mc] if mc in cones else fan.cone(mc) for mc in fan.maximal_cones}
         worst = None
-        for mc in fan.maximal_cones:
-            c = fan.cone(mc)
+        for mc, c in cones.items():
             m = c.multiplicity()
             if m > 1:
-                key = (-m, tuple(sorted(c.rays)))
+                key = (-m, c.rays)
                 if worst is None or key < worst[0]:
-                    worst = (key, c)
+                    worst = (key, mc)
         if worst is None:
             break
-        cone = worst[1]
+        mc = worst[1]
+        cone = cones[mc]
         candidates = _parallelepiped_points(cone)
         if not candidates:
             raise FanError("non-smooth cone with empty parallelepiped")
@@ -676,8 +713,10 @@ def resolve(fan: Fan):
             )
             return (tuple(profile), point)
 
-        point, _ = min(candidates, key=piece_profile)
-        fan, step = star_subdivide_at_point(fan, point)
+        point, lam = min(candidates, key=piece_profile)
+        ray_of = {fan.rays[i]: i for i in mc}
+        center = tuple(sorted(ray_of[r] for r, f in zip(cone.rays, lam) if f > 0))
+        fan, step = _split_at_center(fan, center, point)
         steps.append(step)
     return fan, steps
 
@@ -1099,11 +1138,19 @@ def fan_to_json(fan: Fan) -> dict:
     }
 
 
+def json_int(x) -> int:
+    """``x`` if it is a JSON integer, else TypeError: no float, string or
+    bool is read as one."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def fan_from_json(data) -> Fan:
     try:
-        rank = int(data["rank"])
-        rays = [tuple(int(x) for x in r) for r in data["rays"]]
-        cones = [tuple(int(i) for i in c) for c in data["maximal_cones"]]
+        rank = json_int(data["rank"])
+        rays = [tuple(map(json_int, r)) for r in data["rays"]]
+        cones = [tuple(map(json_int, c)) for c in data["maximal_cones"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FanError(f"malformed fan JSON: {exc}") from exc
     return Fan.make(rank, rays, cones)

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from .cones import Cone
 from .fans import (
     Fan,
+    fan_from_json,
     is_partial_subdivision,
     is_smooth,
     is_subdivision,
+    json_int,
     p1_power,
     resolve,
     standard_fan,
@@ -472,8 +474,6 @@ def pair_to_json(pair: LogFanPair) -> dict:
 
 
 def pair_from_json(data) -> LogFanPair:
-    from .fans import fan_from_json
-
     fan = fan_from_json(data)
     has_boundary = "boundary_rays" in data
     has_open = "open_maximal_cones" in data
@@ -481,6 +481,19 @@ def pair_from_json(data) -> LogFanPair:
         raise LogPairError(
             "exactly one of boundary_rays / open_maximal_cones must be present"
         )
+
+    def ray(i):
+        if not 0 <= json_int(i) < len(fan.rays):
+            raise ValueError(f"ray index {i} out of range")
+        return i
+
+    try:
+        if has_boundary:
+            boundary = [ray(i) for i in data["boundary_rays"]]
+        else:
+            opens = [tuple(map(ray, c)) for c in data["open_maximal_cones"]]
+    except (TypeError, ValueError) as exc:
+        raise LogPairError(f"malformed pair JSON: {exc}") from exc
     if has_boundary:
-        return LogFanPair.from_boundary_rays(fan, [int(i) for i in data["boundary_rays"]])
-    return LogFanPair.make(fan, [tuple(int(i) for i in c) for c in data["open_maximal_cones"]])
+        return LogFanPair.from_boundary_rays(fan, boundary)
+    return LogFanPair.make(fan, opens)

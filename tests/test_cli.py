@@ -68,6 +68,26 @@ def test_resolve_cli(tmp_path, capsys):
     assert main(["fan-check", str(out_path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rank": 2, "rays": [[1, 0.5], [0, 1]], "maximal_cones": [[0, 1]]}',
+        '{"rank": 2, "rays": [[1, 0], [true, 2]], "maximal_cones": [[0, 1]]}',
+        '{"rank": "2", "rays": [[1, 0], [1, 2]], "maximal_cones": [[0, 1]]}',
+        '{"rank": 2, "rays": [[1, 0], [1, 2]], "maximal_cones": [[0, 1.0]]}',
+    ],
+    ids=["float-ray-entry", "bool-ray-entry", "string-rank", "float-cone-index"],
+)
+def test_resolve_cli_rejects_a_value_that_is_no_integer(tmp_path, capsys, text):
+    path = tmp_path / "fan.json"
+    path.write_text(text)
+    code = main(["resolve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "malformed fan JSON" in captured.err
+
+
 def test_refine_cli(tmp_path, capsys):
     from logtoric.fans import Fan, star_subdivide
 
@@ -127,6 +147,31 @@ def test_smlsmify_cli(tmp_path, capsys):
     data = json.loads(out)
     assert data["smlsm"] is True
     assert len(data["steps"]) == 1
+
+
+@pytest.mark.parametrize(
+    "part",
+    [
+        {"boundary_rays": ["x"]},
+        {"boundary_rays": 5},
+        {"boundary_rays": [0.7]},
+        {"boundary_rays": [True]},
+        {"boundary_rays": [2]},
+        {"open_maximal_cones": [[0.0]]},
+        {"open_maximal_cones": [0]},
+        {"open_maximal_cones": [[99]]},
+        {"open_maximal_cones": [[-1]]},
+    ],
+)
+def test_smlsmify_cli_rejects_malformed_pair(tmp_path, capsys, part):
+    pair = {"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]], **part}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    code = main(["smlsmify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "malformed pair JSON" in captured.err
 
 
 def test_realize_cli_deterministic(tmp_path, capsys):

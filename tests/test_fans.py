@@ -38,7 +38,7 @@ from logtoric.fans import (
     subdivision_witness,
     support_equal,
 )
-from logtoric.intlinalg import primitive
+from logtoric.intlinalg import IntMatrix, det, primitive
 
 
 def fan2(*ray_cones):
@@ -831,6 +831,96 @@ def test_resolve_matches_golden():
         }
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
         assert digest == row["sha256"], fan
+
+
+# -- resolve against point location --------------------------------------------
+
+
+def _resolve_by_point_location(fan):
+    """``resolve`` as first written: every step rebuilds each maximal cone
+    for the multiplicity scan, then locates the new point and splits the
+    cones holding it with ``star_subdivide_at_point``."""
+    steps = []
+    while not fan.is_simplicial():
+        bad = next(c for c in fan.maximal() if not c.is_simplicial())
+        fan, step = star_subdivide_at_point(fan, bad.rays[0])
+        steps.append(step)
+    while True:
+        worst = None
+        for mc in fan.maximal_cones:
+            c = fan.cone(mc)
+            m = c.multiplicity()
+            if m > 1 and (worst is None or (-m, c.rays) < worst[0]):
+                worst = ((-m, c.rays), c)
+        if worst is None:
+            return fan, steps
+        cone = worst[1]
+        mult = cone.multiplicity()
+
+        def piece_profile(item):
+            point, lam = item
+            return tuple(sorted((f * mult for f in lam if f > 0), reverse=True)), point
+
+        point, _ = min(_parallelepiped_points(cone), key=piece_profile)
+        fan, step = star_subdivide_at_point(fan, point)
+        steps.append(step)
+
+
+def _signed_det(rows):
+    return det(IntMatrix.from_rows([list(r) for r in rows]))
+
+
+def _resolve_oracle_fans():
+    """Seeded fans of rank 2-4: one simplicial cone, two glued along a
+    facet, a complete weighted projective fan, a cone beside a ray of its
+    negative, two cones of lower dimension sharing a ray, and the golden
+    inputs (a non-simplicial cone among them)."""
+    rng = random.Random(1618)
+    fans = []
+    for rank, bound, weight in ((2, 7, 4), (3, 3, 3), (4, 2, 2)):
+        for _ in range(3):
+            single = _random_simplicial_fan(rng, rank, bound)
+            rays = list(single.rays)
+            fans.append(single)
+            k = rng.randrange(rank)
+            side = _signed_det(rays) > 0
+            while True:
+                w = tuple(rng.randint(-bound, bound) for _ in range(rank))
+                d = _signed_det(rays[:k] + [w] + rays[k + 1:])
+                if d != 0 and (d > 0) != side:
+                    break
+            w = primitive(w)
+            facet = [i for i in range(rank) if i != k]
+            fans.append(Fan.make(rank, rays + [w], [tuple(range(rank)), tuple(facet + [rank])]))
+            weights = [rng.randint(1, weight) for _ in range(rank)]
+            last = primitive(tuple(-sum(c * r[a] for c, r in zip(weights, rays)) for a in range(rank)))
+            fans.append(
+                Fan.make(rank, rays + [last], list(itertools.combinations(range(rank + 1), rank)))
+            )
+            fans.append(Fan.make(rank, rays + [last], [tuple(range(rank)), (rank,)]))
+            if rank >= 3:
+                fans.append(Fan.make(rank, rays[:3], [(0, 1), (1, 2)]))
+    return fans + _resolve_golden_fans()
+
+
+@pytest.mark.parametrize("fan", _resolve_oracle_fans())
+def test_resolve_matches_point_location_oracle(fan):
+    out, steps = resolve(fan)
+    assert (out, steps) == _resolve_by_point_location(fan)
+    assert replay_steps(fan, steps) == out
+
+
+@pytest.mark.parametrize(
+    "fan",
+    [
+        Fan.make(2, [(1, 0), (0, 1), (1, 1), (1, -1)], [(0, 1), (2, 3)], validate=False),
+        Fan.make(2, [(2, 0), (1, 3)], [(0, 1)], validate=False),
+    ],
+    ids=["overlapping-cones", "ray-not-primitive"],
+)
+def test_resolve_rejects_an_invalid_fan(fan):
+    with pytest.raises(FanError):
+        resolve(fan)
 
 
 # -- refine golden --------------------------------------------------------------
