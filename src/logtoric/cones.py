@@ -4,6 +4,10 @@ A cone is stored by its primitive extreme rays.  The double description
 method converts between the two presentations (generators vs supporting
 inequalities); all predicates (membership, faces, crossing) reduce to
 integer dot products against the dual description.  No floats anywhere.
+
+The meet of two cones is one more double description; ``_meet`` keeps a
+bounded memo of it per unordered pair of cones, since refinement and
+validation meet the same pairs again and again.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 from .intlinalg import IntMatrix, kernel_basis, primitive, rank, smith_normal_form
 
@@ -146,7 +151,10 @@ class Cone:
 
     @staticmethod
     def make(gens, ambient) -> "Cone":
-        gens = tuple(tuple(int(x) for x in g) for g in gens)
+        try:
+            gens = tuple(tuple(map(index, g)) for g in gens)
+        except TypeError as exc:
+            raise ValueError(f"generators must be integer vectors: {exc}") from exc
         for g in gens:
             if len(g) != ambient:
                 raise ValueError("ray has wrong length")
@@ -204,19 +212,10 @@ class Cone:
         return all(dot(l, x) == 0 for l in dlines) and all(dot(r, x) > 0 for r in drays)
 
     def intersect(self, other: "Cone") -> "Cone":
-        ineqs = []
-        for part in (self.dual(), other.dual()):
-            lines, rays_ = part
-            ineqs.extend(rays_)
-            for l in lines:
-                ineqs.append(l)
-                ineqs.append(tuple(-x for x in l))
-        lines, rays_ = extreme_description(ineqs, self.ambient)
-        if lines:
-            raise ValueError("intersection of strongly convex cones grew a line")
-        if not rays_:
-            return Cone.zero(self.ambient)
-        return Cone.make(rays_, self.ambient)
+        # the meet is symmetric: one memo entry per unordered pair
+        if other.rays < self.rays:
+            return _meet(other, self)
+        return _meet(self, other)
 
     def smallest_face_containing(self, gens) -> "Cone":
         """Smallest face of this cone containing all vectors in ``gens``."""
@@ -250,6 +249,25 @@ class Cone:
     def crosses(self, sigma: "Cone") -> bool:
         """Does this cone cross ``sigma`` (their intersection is not a face of sigma)?"""
         return not sigma.has_face(self.intersect(sigma))
+
+
+@lru_cache(maxsize=4096)
+def _meet(a: Cone, b: Cone) -> Cone:
+    """``a ∩ b`` by double description of both duals' inequalities.
+    Bounded like ``fans._dual_basis``; an intersection that grows a line
+    raises on every call, since ``lru_cache`` stores no exception."""
+    ineqs = []
+    for lines, rays in (a.dual(), b.dual()):
+        ineqs.extend(rays)
+        for l in lines:
+            ineqs.append(l)
+            ineqs.append(tuple(-x for x in l))
+    lines, rays = extreme_description(ineqs, a.ambient)
+    if lines:
+        raise ValueError("intersection of strongly convex cones grew a line")
+    if not rays:
+        return Cone.zero(a.ambient)
+    return Cone.make(rays, a.ambient)
 
 
 @lru_cache(maxsize=None)

@@ -21,9 +21,11 @@ and a star subdivision at a face is the combinatorial split
 take this path by themselves; every other fan (lower dimensional or
 non-smooth maximal cones) keeps the double description of ``cones``,
 which is also the kernel's test oracle.  Once ``resolve`` has
-triangulated, it builds each maximal cone's double description once, for
-its multiplicity and parallelepiped points, and splits by the same
-index-set rule, its centers read off those points.
+triangulated, it builds each simplicial maximal cone from its sorted rays
+with no double description, reads its multiplicity and parallelepiped
+points off Smith forms, and splits by the same index-set rule, its
+centers read off those points.  ``crosses`` meets tau with the maximal
+cones only (the faces follow), and ``cones`` memoizes each meet.
 ``product`` and ``insert_p1_coordinate`` build fans by construction, so
 they validate their inputs, not their output.
 """
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from math import gcd, lcm
-from operator import and_, mul
+from operator import and_, index, mul
 
 from .cones import Cone, dot, saturated_span_basis
 from .intlinalg import (
@@ -60,8 +62,11 @@ class Fan:
 
     @staticmethod
     def make(rank, rays, maximal_cones, validate=True) -> "Fan":
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
-        maximal_cones = tuple(tuple(sorted(set(int(i) for i in c))) for c in maximal_cones)
+        try:
+            rays = tuple(tuple(map(index, r)) for r in rays)
+            maximal_cones = tuple(tuple(sorted(set(map(index, c)))) for c in maximal_cones)
+        except TypeError as exc:
+            raise FanError(f"rays and cones must hold integers: {exc}") from exc
         fan = Fan(rank, rays, maximal_cones)
         if validate:
             _validate_once(fan)
@@ -304,13 +309,18 @@ def is_complete(fan: Fan) -> bool:
 
 
 def crosses(tau: Cone, fan: Fan) -> bool:
-    """Does ``tau`` cross the fan: some cone whose meet with tau is not its face."""
+    """Does ``tau`` cross the fan: some cone whose meet with tau is not its face?
+
+    Only the maximal cones are tested.  Suppose tau meets every maximal
+    cone sigma in a face G of sigma.  Then for any face F of sigma,
+    ``tau ∩ F = G ∩ F``, a face of sigma inside F, and so a face of F.
+    So no face crosses tau unless a maximal cone does.  The argument uses
+    only that each cone of the fan is a face of a maximal one, so it holds
+    for any collection of cones, valid fan or not.
+    """
     if tau.ambient != fan.rank:
         raise FanError("ambient rank mismatch")
-    for idx in fan.all_cone_indices():
-        if tau.crosses(fan.cone(idx)):
-            return True
-    return False
+    return any(tau.crosses(fan.cone(mc)) for mc in fan.maximal_cones)
 
 
 # -- star subdivision ----------------------------------------------------
@@ -430,6 +440,10 @@ def _split_at_center(fan: Fan, center, point):
     splits off its facets that miss ``point``, the facets dropping one
     center ray.  The pieces are full-dimensional inside their parents, so
     no containments arise between the new maximal cones.
+
+    The input is a normal fan (ray tuples of ints, sorted index tuples)
+    and ``point`` a tuple of ints, so the output ``Fan`` is built as it
+    is, with no ``Fan.make`` pass over every ray and cone.
     """
     center_set = set(center)
     v = len(fan.rays)
@@ -440,7 +454,7 @@ def _split_at_center(fan: Fan, center, point):
             continue
         for i in center:
             new_max.add(tuple(sorted([j for j in mc if j != i] + [v])))
-    out = Fan.make(fan.rank, fan.rays + (point,), sorted(new_max), validate=False)
+    out = Fan(fan.rank, fan.rays + (point,), tuple(sorted(new_max)))
     return out, StarSubdivisionStep(center=center, new_ray=point)
 
 
@@ -674,6 +688,13 @@ def resolve(fan: Fan):
     ray, so ray indices stay valid, and each maximal cone's ``Cone`` (and
     its cached multiplicity) is built once and kept while the cone
     survives.
+
+    No step runs a double description.  After triangulation every maximal
+    cone lists linearly independent primitive rays, which are its extreme
+    rays, so its ``Cone`` is its sorted rays, the value ``Cone.make``
+    would return.  A split replaces a center ray ``u_i`` (``lam_i > 0``)
+    by ``p = sum lam_j u_j``, so the new rays are again independent, and
+    ``p`` is primitive by choice.
     """
     _validate_once(fan)
     steps = []
@@ -689,7 +710,10 @@ def resolve(fan: Fan):
 
     cones = {}
     while True:
-        cones = {mc: cones[mc] if mc in cones else fan.cone(mc) for mc in fan.maximal_cones}
+        cones = {
+            mc: cones[mc] if mc in cones else Cone(fan.rank, tuple(sorted(fan.rays[i] for i in mc)))
+            for mc in fan.maximal_cones
+        }
         worst = None
         for mc, c in cones.items():
             m = c.multiplicity()

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from logtoric.cones import Cone, extreme_description, saturated_span_basis
@@ -123,3 +126,56 @@ def test_saturated_span_basis():
     assert lattice_member(b, (1, 1, 1))
     assert lattice_member(b, (2, 0, 1))
     assert not lattice_member(b, (0, 0, 1))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(3, 2), Fraction(1), "1"])
+def test_make_rejects_a_non_integer_entry(bad):
+    with pytest.raises(ValueError, match="integer"):
+        Cone.make([(1, bad), (0, 1)], 2)
+
+
+def _meet_by_dd(a, b):
+    """``Cone.intersect`` as first written: double description of both
+    duals' inequalities, on every call."""
+    ineqs = []
+    for lines, rays in (a.dual(), b.dual()):
+        ineqs.extend(rays)
+        for l in lines:
+            ineqs.append(l)
+            ineqs.append(tuple(-x for x in l))
+    lines, rays = extreme_description(ineqs, a.ambient)
+    assert not lines
+    return Cone.make(rays, a.ambient) if rays else Cone.zero(a.ambient)
+
+
+def _seeded_cones(rng, ambient, count):
+    """Strongly convex cones on one to five random generators: rays,
+    lower-dimensional, simplicial and non-simplicial cones."""
+    out = []
+    while len(out) < count:
+        gens = [
+            tuple(rng.randint(-2, 2) for _ in range(ambient))
+            for _ in range(rng.randint(1, 5))
+        ]
+        if not all(any(g) for g in gens):
+            continue
+        try:
+            out.append(Cone.make(gens, ambient))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("ambient", [2, 3, 4])
+def test_intersect_matches_double_description(ambient):
+    rng = random.Random(4242 + ambient)
+    cones = [Cone.zero(ambient)] + _seeded_cones(rng, ambient, 24)
+    # every strongly convex cone in the plane is simplicial
+    assert any(not c.is_simplicial() for c in cones) == (ambient > 2)
+    assert any(0 < c.dim < ambient for c in cones)
+    for a in cones:
+        for b in rng.sample(cones, 8) + [a]:
+            want = _meet_by_dd(a, b)
+            assert a.intersect(b) == want
+            assert b.intersect(a) == want
+            assert a.intersect(b) == want  # a memo hit

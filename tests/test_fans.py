@@ -442,6 +442,15 @@ def test_invalid_fan_raises_on_every_make(monkeypatch, args, message):
         assert len(calls) == attempt
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(3, 2), Fraction(1), "1"])
+@pytest.mark.parametrize("validate", [True, False])
+def test_make_rejects_a_non_integer_entry(bad, validate):
+    with pytest.raises(FanError, match="integers"):
+        Fan.make(2, [(1, bad), (0, 1)], [(0, 1)], validate=validate)
+    with pytest.raises(FanError, match="integers"):
+        Fan.make(2, [(1, 0), (0, 1)], [(0, bad)], validate=validate)
+
+
 def test_make_without_validation_never_validates(monkeypatch):
     calls = _count_validations(monkeypatch)
     args = (2, [(1, 0), (1, 9941)], [(0, 1)])
@@ -908,6 +917,10 @@ def test_resolve_matches_point_location_oracle(fan):
     out, steps = resolve(fan)
     assert (out, steps) == _resolve_by_point_location(fan)
     assert replay_steps(fan, steps) == out
+    # cones and fans built directly are what the normalising makers return
+    for mc in out.maximal_cones:
+        assert out.cone(mc) == Cone(out.rank, tuple(sorted(out.rays[i] for i in mc)))
+    assert Fan.make(out.rank, out.rays, out.maximal_cones, validate=False) == out
 
 
 @pytest.mark.parametrize(
@@ -958,3 +971,58 @@ def test_refine_matches_golden():
         }
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
         assert digest == row["sha256"], row
+
+
+# -- crosses against a scan over every cone -------------------------------------
+
+
+def _crosses_by_all_cones(tau, fan):
+    """``crosses`` as first written: tau against every cone of the fan,
+    faces included."""
+    return any(tau.crosses(fan.cone(idx)) for idx in fan.all_cone_indices())
+
+
+def _random_cone(rng, rank):
+    """A strongly convex cone on one to three random generators: rays,
+    lower-dimensional and (for three generators in rank 2) non-simplicial
+    spans."""
+    while True:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, 3))]
+        if not all(any(g) for g in gens):
+            continue
+        try:
+            return Cone.make(gens, rank)
+        except ValueError:
+            continue
+
+
+CROSSES_FANS = (
+    KERNEL_FANS
+    + FALLBACK_FANS
+    + [
+        OVERLAPPING,
+        INCOMPLETE_FANS[-1],
+        standard_fan("Gm^n", 2),
+        # a non-simplicial cone, alone and beside a ray
+        Fan.make(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)]),
+        Fan.make(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, -1)],
+                 [(0, 1, 2, 3), (4,)]),
+        # lower-dimensional cones only
+        Fan.make(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)], [(0, 1), (1, 2)]),
+        # unvalidated: a cone listing a generator that is not extreme
+        Fan.make(2, [(1, 0), (0, 1), (1, 1), (-1, 1)], [(0, 1, 2), (2, 3)], validate=False),
+    ]
+)
+
+
+def test_crosses_matches_a_scan_over_all_cones():
+    rng = random.Random(2718)
+    answers = []
+    for fan in CROSSES_FANS:
+        taus = [Cone.zero(fan.rank)] + [_random_cone(rng, fan.rank) for _ in range(8)]
+        taus += [fan.cone(mc) for mc in fan.maximal_cones[:2]]
+        for tau in taus:
+            answer = crosses(tau, fan)
+            assert answer == _crosses_by_all_cones(tau, fan), (tau, fan)
+            answers.append(answer)
+    assert set(answers) == {True, False}
