@@ -24,6 +24,15 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _lattice_point(x):
+    """``x`` as a tuple of ints; a float, ``Fraction`` or string entry
+    raises ``ValueError``, as in ``Cone.make``, and is never truncated."""
+    try:
+        return tuple(map(index, x))
+    except TypeError as exc:
+        raise ValueError(f"a point must hold integers: {exc}") from exc
+
+
 def _primitive_or_zero(vec):
     g = 0
     for x in vec:
@@ -198,7 +207,7 @@ class Cone:
         return _dual_description(self.rays, self.ambient)
 
     def contains_point(self, x) -> bool:
-        x = tuple(int(v) for v in x)
+        x = _lattice_point(x)
         dlines, drays = self.dual()
         return all(dot(l, x) == 0 for l in dlines) and all(dot(r, x) >= 0 for r in drays)
 
@@ -207,7 +216,7 @@ class Cone:
 
     def interior_contains(self, x) -> bool:
         """Is ``x`` in the relative interior?"""
-        x = tuple(int(v) for v in x)
+        x = _lattice_point(x)
         dlines, drays = self.dual()
         return all(dot(l, x) == 0 for l in dlines) and all(dot(r, x) > 0 for r in drays)
 
@@ -277,7 +286,7 @@ def _cone_dim(cone: Cone) -> int:
     return rank(IntMatrix.from_rows(cone.rays))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _cone_multiplicity(cone: Cone) -> int:
     if not cone.rays:
         return 1

@@ -22,12 +22,17 @@ take this path by themselves; every other fan (lower dimensional or
 non-smooth maximal cones) keeps the double description of ``cones``,
 which is also the kernel's test oracle.  Once ``resolve`` has
 triangulated, it builds each simplicial maximal cone from its sorted rays
-with no double description, reads its multiplicity and parallelepiped
-points off Smith forms, and splits by the same index-set rule, its
-centers read off those points.  ``crosses`` meets tau with the maximal
-cones only (the faces follow), and ``cones`` memoizes each meet.
-``product`` and ``insert_p1_coordinate`` build fans by construction, so
-they validate their inputs, not their output.
+with no double description, reads the worst cone's parallelepiped points
+off a Smith form, and splits by the same index-set rule, its centers read
+off those points; each new cone's multiplicity is carried from its parent
+(the center coefficient times the parent's), not factored again.
+``Fan.validate`` meets each pair of maximal cones once and reads both the
+containment and the common-face checks off that meet.  ``support_equal``
+and ``is_subdivision`` decide complete fans by ``is_complete`` and run
+exact volumes only when neither fan is complete.  ``crosses`` meets tau
+with the maximal cones only (the faces follow), and ``cones`` memoizes
+each meet.  ``product`` and ``insert_p1_coordinate`` build fans by
+construction, so they validate their inputs, not their output.
 """
 
 from __future__ import annotations
@@ -84,13 +89,25 @@ class Fan:
         return [self.cone(c) for c in self.maximal_cones]
 
     def ray_index(self, vec):
-        vec = tuple(int(x) for x in vec)
+        try:
+            vec = tuple(map(index, vec))
+        except TypeError as exc:
+            raise FanError(f"a ray must hold integers: {exc}") from exc
         for i, r in enumerate(self.rays):
             if r == vec:
                 return i
         return None
 
     def validate(self):
+        """Raise unless this is a fan.  Each pair of maximal cones is met
+        once, and both pair checks read the meet: a cone lies in another
+        exactly when the meet is the cone (``Cone`` is canonical), and a
+        meet of two simplicial cones is a face of both exactly when its rays
+        are rays of both (the faces of a simplicial cone are spanned by the
+        subsets of its rays).  A pair with a non-simplicial cone asks
+        ``Cone.has_face``.  Every containment is checked before any face,
+        so a fan failing both checks reports the containment.
+        """
         if self.rank < 0:
             raise FanError("rank must be >= 0")
         seen = set()
@@ -113,18 +130,23 @@ class Fan:
             # listed rays are exactly the extreme rays
             if set(c.rays) != {self.rays[i] for i in idx}:
                 raise FanError(f"cone {idx} lists a non-extreme generator")
-        for i in range(len(cones)):
-            for j in range(len(cones)):
-                if i != j and cones[j].contains_cone(cones[i]):
-                    raise FanError("maximal cone contained in another")
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                meet = cones[i].intersect(cones[j])
-                if not cones[i].has_face(meet) or not cones[j].has_face(meet):
-                    raise FanError(
-                        f"cones {self.maximal_cones[i]} and {self.maximal_cones[j]} "
-                        "do not intersect in a common face"
-                    )
+        meets = []
+        for (i, ci), (j, cj) in itertools.combinations(enumerate(cones), 2):
+            meet = ci.intersect(cj)
+            if meet == ci or meet == cj:
+                raise FanError("maximal cone contained in another")
+            meets.append((i, j, meet))
+        for i, j, meet in meets:
+            ci, cj = cones[i], cones[j]
+            if ci.is_simplicial() and cj.is_simplicial():
+                common = set(meet.rays) <= set(ci.rays) & set(cj.rays)
+            else:
+                common = ci.has_face(meet) and cj.has_face(meet)
+            if not common:
+                raise FanError(
+                    f"cones {self.maximal_cones[i]} and {self.maximal_cones[j]} "
+                    "do not intersect in a common face"
+                )
 
     def all_cone_indices(self):
         """All cones of the fan as sorted ray-index tuples (faces included)."""
@@ -452,10 +474,15 @@ def _split_at_center(fan: Fan, center, point):
         if not center_set.issubset(mc):
             new_max.add(mc)
             continue
-        for i in center:
-            new_max.add(tuple(sorted([j for j in mc if j != i] + [v])))
+        new_max.update(_split_pieces(mc, center, v).values())
     out = Fan(fan.rank, fan.rays + (point,), tuple(sorted(new_max)))
     return out, StarSubdivisionStep(center=center, new_ray=point)
+
+
+def _split_pieces(mc, center, v):
+    """{center ray ``i``: the piece ``mc - {i} + {v}``} of a maximal cone
+    ``mc`` that holds ``center``, split at the new ray with index ``v``."""
+    return {i: tuple(sorted([j for j in mc if j != i] + [v])) for i in center}
 
 
 def star_subdivide(fan: Fan, center) -> tuple:
@@ -587,9 +614,17 @@ def is_partial_subdivision(source: Fan, target: Fan) -> bool:
 
 
 def is_subdivision(source: Fan, target: Fan) -> bool:
-    """Partial subdivision with equal supports."""
+    """Partial subdivision with equal supports.
+
+    Both inputs must be fans, as for ``covers``.  When either is complete
+    (``is_complete``, by facet pairing) the supports agree exactly when
+    both are: a partial subdivision of a fan lies inside its support.
+    Exact volumes run only when neither is complete.
+    """
     if subdivision_witness(source, target) is None:
         return False
+    if is_complete(source) or is_complete(target):
+        return is_complete(source) and is_complete(target)
     scones = source.maximal()
     for t in target.maximal():
         pieces = [c for c in scones if t.contains_cone(c)]
@@ -606,9 +641,16 @@ def make_subdivision(source: Fan, target: Fan) -> Subdivision:
 
 
 def support_equal(f: Fan, g: Fan) -> bool:
-    """Do two fans in the same lattice have the same support?"""
+    """Do two fans in the same lattice have the same support?
+
+    Both inputs must be fans, as for ``covers``.  When either is complete
+    (``is_complete``, by facet pairing) the supports agree exactly when
+    both are; exact sliced volumes run only when neither is complete.
+    """
     if f.rank != g.rank:
         return False
+    if is_complete(f) or is_complete(g):
+        return is_complete(f) and is_complete(g)
 
     def one_way(a: Fan, b: Fan) -> bool:
         bcones = b.maximal()
@@ -685,16 +727,21 @@ def resolve(fan: Fan):
     contains ``p``, so that face contains the center; and a cone holding
     the center holds ``p``.  So the step is the index-set split of
     ``_split_at_center``, with no point location.  A step only appends a
-    ray, so ray indices stay valid, and each maximal cone's ``Cone`` (and
-    its cached multiplicity) is built once and kept while the cone
-    survives.
+    ray, so ray indices stay valid, and each maximal cone's ``Cone`` and
+    multiplicity are built once and kept while the cone survives.
 
-    No step runs a double description.  After triangulation every maximal
-    cone lists linearly independent primitive rays, which are its extreme
+    No step runs a double description or a Smith form beyond the worst
+    cone's ``fundamental_points``.  After triangulation every maximal cone
+    lists linearly independent primitive rays, which are its extreme
     rays, so its ``Cone`` is its sorted rays, the value ``Cone.make``
-    would return.  A split replaces a center ray ``u_i`` (``lam_i > 0``)
-    by ``p = sum lam_j u_j``, so the new rays are again independent, and
-    ``p`` is primitive by choice.
+    would return; its multiplicity is read off a Smith form once, here.
+    A split replaces a center ray ``u_i`` (``lam_i > 0``) by ``p = sum
+    lam_j u_j``, so the new rays are again independent, and ``p`` is
+    primitive by choice.  In every maximal cone holding the center, ``p``
+    has the coefficients ``lam`` on the center rays and 0 on the others,
+    so the piece that drops ``u_i`` has ``lam_i`` times that cone's
+    multiplicity: its ray lattice changes by a matrix of determinant
+    ``lam_i``.
     """
     _validate_once(fan)
     steps = []
@@ -708,41 +755,50 @@ def resolve(fan: Fan):
         fan, step = star_subdivide_at_point(fan, bad.rays[0])
         steps.append(step)
 
-    cones = {}
-    while True:
-        cones = {
-            mc: cones[mc] if mc in cones else Cone(fan.rank, tuple(sorted(fan.rays[i] for i in mc)))
-            for mc in fan.maximal_cones
-        }
-        worst = None
-        for mc, c in cones.items():
-            m = c.multiplicity()
-            if m > 1:
-                key = (-m, c.rays)
-                if worst is None or key < worst[0]:
-                    worst = (key, mc)
-        if worst is None:
-            break
-        mc = worst[1]
+    cones = {
+        mc: Cone(fan.rank, tuple(sorted(fan.rays[i] for i in mc))) for mc in fan.maximal_cones
+    }
+    mults = {mc: c.multiplicity() for mc, c in cones.items()}
+    while (mc := _worst_cone(cones, mults)) is not None:
         cone = cones[mc]
         candidates = _parallelepiped_points(cone)
         if not candidates:
             raise FanError("non-smooth cone with empty parallelepiped")
-
-        def piece_profile(item):
-            point, lam = item
-            mult = cone.multiplicity()
-            profile = sorted(
-                (f * mult for f in lam if f > 0), reverse=True
-            )
-            return (tuple(profile), point)
-
-        point, lam = min(candidates, key=piece_profile)
+        point, lam = min(candidates, key=_piece_profile)
         ray_of = {fan.rays[i]: i for i in mc}
-        center = tuple(sorted(ray_of[r] for r, f in zip(cone.rays, lam) if f > 0))
+        coeff = {ray_of[r]: f for r, f in zip(cone.rays, lam) if f > 0}
+        center = tuple(sorted(coeff))
+        holders = [h for h in cones if coeff.keys() <= set(h)]
         fan, step = _split_at_center(fan, center, point)
         steps.append(step)
+        v = len(fan.rays) - 1
+        for h in holders:
+            del cones[h]
+            m = mults.pop(h)
+            for i, piece in _split_pieces(h, center, v).items():
+                cones[piece] = Cone(fan.rank, tuple(sorted(fan.rays[j] for j in piece)))
+                mults[piece] = m * coeff[i].numerator // coeff[i].denominator
     return fan, steps
+
+
+def _piece_profile(item):
+    """Sort key of a (point, lam) resolution center: its positive
+    coefficients, largest first, then the point."""
+    point, lam = item
+    return tuple(sorted((f for f in lam if f > 0), reverse=True)), point
+
+
+def _worst_cone(cones, mults):
+    """The maximal cone ``resolve`` splits next, or None when every cone
+    is smooth: the largest multiplicity first, ties broken by the cone's
+    sorted rays, so reruns are bit-identical."""
+    worst = None
+    for mc, m in mults.items():
+        if m > 1:
+            key = (-m, cones[mc].rays)
+            if worst is None or key < worst[0]:
+                worst = (key, mc)
+    return None if worst is None else worst[1]
 
 
 # -- refinement against another fan (2-dimensional centers only) ----------
@@ -837,8 +893,11 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
     cone of ``sigma`` spanned by ``eta_indices`` intact.
 
     Returns ``(fan, steps)``; the output subdivides both inputs and
-    still contains eta.
+    still contains eta.  Both inputs are validated (once per distinct fan,
+    see ``_validate_once``), since ``support_equal`` holds for fans only.
     """
+    _validate_once(sigma)
+    _validate_once(delta)
     if not is_smooth(sigma):
         raise FanError("refine requires a smooth first fan")
     if not support_equal(sigma, delta):

@@ -134,6 +134,18 @@ def test_make_rejects_a_non_integer_entry(bad):
         Cone.make([(1, bad), (0, 1)], 2)
 
 
+@pytest.mark.parametrize("bad", [0.5, -0.4, 1.0, Fraction(3, 2), Fraction(1), "1"])
+def test_points_with_a_non_integer_entry_are_rejected(bad):
+    # truncation would read (0.5, -0.4) as (0, 0), a point of every cone
+    quadrant = C((1, 0), (0, 1))
+    for test in (quadrant.contains_point, quadrant.interior_contains):
+        with pytest.raises(ValueError, match="integer"):
+            test((1, bad))
+        with pytest.raises(ValueError, match="integer"):
+            test((bad, 1))
+    assert quadrant.contains_point((0, 0)) and not quadrant.interior_contains((0, 0))
+
+
 def _meet_by_dd(a, b):
     """``Cone.intersect`` as first written: double description of both
     duals' inequalities, on every call."""

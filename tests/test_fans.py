@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from logtoric.cones import Cone, dot
+from logtoric import fans as fans_module
+from logtoric.cones import Cone, _cone_multiplicity, dot
 from logtoric.fans import (
     Fan,
     FanError,
@@ -15,6 +16,7 @@ from logtoric.fans import (
     _in_unimodular,
     _parallelepiped_points,
     _unimodular_inverses,
+    covers,
     crosses,
     fan_from_json,
     fan_to_json,
@@ -449,6 +451,16 @@ def test_make_rejects_a_non_integer_entry(bad, validate):
         Fan.make(2, [(1, bad), (0, 1)], [(0, 1)], validate=validate)
     with pytest.raises(FanError, match="integers"):
         Fan.make(2, [(1, 0), (0, 1)], [(0, bad)], validate=validate)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(3, 2), Fraction(1), "1"])
+def test_ray_index_rejects_a_non_integer_entry(bad):
+    # truncation would find the ray (1, 0) for (1.5, 0)
+    assert ORTHANT.ray_index((1, 0)) == 0
+    with pytest.raises(FanError, match="integers"):
+        ORTHANT.ray_index((bad, 0))
+    with pytest.raises(FanError, match="integers"):
+        ORTHANT.ray_index((0, bad))
 
 
 def test_make_without_validation_never_validates(monkeypatch):
@@ -913,10 +925,29 @@ def _resolve_oracle_fans():
 
 
 @pytest.mark.parametrize("fan", _resolve_oracle_fans())
-def test_resolve_matches_point_location_oracle(fan):
+def test_resolve_matches_point_location_oracle(fan, monkeypatch):
+    # every multiplicity resolve carries is the Smith-form multiplicity of
+    # its cone in the fan of that step, rebuilt here by replaying the steps
+    carried = []
+    worst_cone = fans_module._worst_cone
+
+    def spy(cones, mults):
+        carried.append(dict(mults))
+        return worst_cone(cones, mults)
+
+    monkeypatch.setattr(fans_module, "_worst_cone", spy)
     out, steps = resolve(fan)
     assert (out, steps) == _resolve_by_point_location(fan)
     assert replay_steps(fan, steps) == out
+    # the last scan finds every cone smooth; the steps before the first
+    # scan triangulate
+    triangulation = len(steps) - (len(carried) - 1)
+    stage = replay_steps(fan, steps[:triangulation])
+    for k, mults in enumerate(carried):
+        if k:
+            stage = replay_steps(stage, steps[triangulation + k - 1 : triangulation + k])
+        assert mults == {mc: _cone_multiplicity(stage.cone(mc)) for mc in stage.maximal_cones}
+    assert stage == out
     # cones and fans built directly are what the normalising makers return
     for mc in out.maximal_cones:
         assert out.cone(mc) == Cone(out.rank, tuple(sorted(out.rays[i] for i in mc)))
@@ -1026,3 +1057,202 @@ def test_crosses_matches_a_scan_over_all_cones():
             assert answer == _crosses_by_all_cones(tau, fan), (tau, fan)
             answers.append(answer)
     assert set(answers) == {True, False}
+
+
+# -- validate against its two-loop form -----------------------------------------
+
+
+def _validate_by_two_loops(fan):
+    """``Fan.validate`` as first written: ``contains_cone`` over every
+    ordered pair of maximal cones, then ``has_face`` of each meet."""
+    if fan.rank < 0:
+        raise FanError("rank must be >= 0")
+    seen = set()
+    for r in fan.rays:
+        if len(r) != fan.rank:
+            raise FanError("ray length differs from rank")
+        if all(x == 0 for x in r):
+            raise FanError("zero ray")
+        if primitive(r) != r:
+            raise FanError(f"ray {r} is not primitive")
+        if r in seen:
+            raise FanError(f"duplicate ray {r}")
+        seen.add(r)
+    used = {i for c in fan.maximal_cones for i in c}
+    if used and (min(used) < 0 or max(used) >= len(fan.rays)):
+        raise FanError("cone index out of range")
+    cones = fan.maximal()
+    for c, idx in zip(cones, fan.maximal_cones):
+        if set(c.rays) != {fan.rays[i] for i in idx}:
+            raise FanError(f"cone {idx} lists a non-extreme generator")
+    for i in range(len(cones)):
+        for j in range(len(cones)):
+            if i != j and cones[j].contains_cone(cones[i]):
+                raise FanError("maximal cone contained in another")
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            meet = cones[i].intersect(cones[j])
+            if not cones[i].has_face(meet) or not cones[j].has_face(meet):
+                raise FanError(
+                    f"cones {fan.maximal_cones[i]} and {fan.maximal_cones[j]} "
+                    "do not intersect in a common face"
+                )
+
+
+def _validation_outcome(validate, fan):
+    """None, or the class and message of the error ``validate`` raises."""
+    try:
+        validate(fan)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _unchecked(rank, rays, cones):
+    return Fan.make(rank, rays, cones, validate=False)
+
+
+PYRAMID = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+VALIDATE_CASES = [
+    # non-simplicial cones: alone, beside a ray, and two square pyramids
+    # whose meet spans three rays of each but is half of the first (no face)
+    _unchecked(3, PYRAMID, [(0, 1, 2, 3)]),
+    _unchecked(3, PYRAMID + [(0, 0, -1)], [(0, 1, 2, 3), (4,)]),
+    _unchecked(3, PYRAMID + [(-2, 1, 1)], [(0, 1, 2, 3), (0, 1, 2, 4)]),
+    # a non-simplicial cone and a simplicial cone inside it
+    _unchecked(3, PYRAMID, [(0, 1, 2, 3), (0, 1, 2)]),
+    # lower-dimensional cones
+    _unchecked(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)], [(0, 1), (1, 2)]),
+    _unchecked(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], [(0, 1), (2, 3)]),
+    # two simplicial cones that cross without sharing a ray
+    _unchecked(2, [(1, 0), (0, 1), (1, 1), (1, -1)], [(0, 1), (2, 3)]),
+    # two that share a ray and still cross
+    _unchecked(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, -1, 0)], [(0, 1, 2), (0, 3, 4)]),
+    # a maximal cone that is a face of another, and a duplicated one
+    _unchecked(2, [(1, 0), (0, 1)], [(0, 1), (0,)]),
+    _unchecked(2, [(1, 0), (0, 1)], [(0, 1), (0, 1)]),
+    _unchecked(2, [(1, 0), (0, 1)], [(0, 1), ()]),
+    # nested and crossing: the crossing pair comes first
+    _unchecked(2, [(1, 0), (0, 1), (1, 1), (1, -1)], [(0, 1), (2, 3), (2,)]),
+    # errors before the pair checks
+    _unchecked(2, [(1, 0), (0, 1), (1, 1)], [(0, 1, 2)]),
+    _unchecked(2, [(1, 0), (-1, 0)], [(0, 1)]),
+    _unchecked(2, [(1, 0)], [(0, 1)]),
+]
+
+
+def _seeded_validate_fans():
+    """Valid smooth towers, the same towers with a random cone added, and
+    random collections of cones on small rays (simplicial or not, of any
+    dimension) in ranks 2 and 3."""
+    rng = random.Random(1811)
+    out = list(COMPLETE_FANS) + [INCOMPLETE_FANS[0]]
+    for fan in COMPLETE_FANS[3:]:
+        extra = _random_cone(rng, fan.rank)
+        rays = list(fan.rays) + [r for r in extra.rays if r not in fan.rays]
+        added = tuple(sorted(rays.index(r) for r in extra.rays))
+        out.append(_unchecked(fan.rank, rays, list(fan.maximal_cones) + [added]))
+    for rank in (2, 3, 2, 3, 3, 3) * 8:
+        rays = sorted({primitive(v) for v in (
+            tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rank + 3)
+        ) if any(v)})
+        cones = []
+        for _ in range(rng.randint(2, 4)):
+            size = rng.randint(1, min(len(rays), rank + 1))
+            cones.append(tuple(sorted(rng.sample(range(len(rays)), size))))
+        out.append(_unchecked(rank, rays, cones))
+    return out
+
+
+def test_validate_matches_the_two_loop_oracle():
+    outcomes = []
+    for fan in VALIDATE_CASES + _seeded_validate_fans():
+        want = _validation_outcome(_validate_by_two_loops, fan)
+        assert _validation_outcome(Fan.validate, fan) == want, fan
+        outcomes.append(want and want[1])
+    messages = {m for m in outcomes if m}
+    assert None in outcomes
+    assert "maximal cone contained in another" in messages
+    assert any("common face" in m for m in messages)
+    assert any("non-extreme" in m for m in messages)
+    # the two pyramids overlap in half of the first, spanned by its rays
+    assert "common face" in _validation_outcome(Fan.validate, VALIDATE_CASES[2])[1]
+
+
+# -- support equality and subdivision against exact volumes ---------------------
+
+
+def _support_equal_by_volumes(f, g):
+    """``support_equal`` as first written: each maximal cone of either fan
+    covered by its meets with the other's, by exact sliced volumes."""
+    if f.rank != g.rank:
+        return False
+
+    def one_way(a, b):
+        bcones = b.maximal()
+        for c in a.maximal():
+            pieces = [c.intersect(t) for t in bcones]
+            if not covers(c, [p for p in pieces if p.rays or c.dim == 0]):
+                return False
+        return True
+
+    return one_way(f, g) and one_way(g, f)
+
+
+def _is_subdivision_by_volumes(source, target):
+    """``is_subdivision`` as first written: a witness, then each target
+    cone covered by the source cones inside it, by exact volumes."""
+    if subdivision_witness(source, target) is None:
+        return False
+    scones = source.maximal()
+    return all(covers(t, [c for c in scones if t.contains_cone(c)]) for t in target.maximal())
+
+
+def _support_pairs():
+    """(f, g) pairs of fans of one rank, complete or not on either side,
+    with equal and with unequal supports."""
+    rng = random.Random(2207)
+    pairs = []
+    for n in (2, 3):
+        base = p1_power(n)
+        tower = _random_tower(rng, base, 3)
+        # complete/complete: a tower over its base and each stage, and P^n
+        pairs += [(tower, base), (base, tower), (standard_fan("P^n", n), base)]
+        for fan in (base, tower):
+            rest = Fan.make(n, fan.rays, fan.maximal_cones[1:])
+            other = Fan.make(n, fan.rays, fan.maximal_cones[:1] + fan.maximal_cones[2:])
+            center = next(c for c in rest.all_cone_indices() if len(c) == 2)
+            finer, _ = star_subdivide(rest, center)
+            # complete/incomplete both ways, incomplete/incomplete with
+            # equal supports (a subdivision) and unequal ones
+            pairs += [(fan, rest), (rest, fan), (finer, rest), (rest, finer), (rest, other)]
+            pairs += [(Fan.make(n, finer.rays, finer.maximal_cones[1:]), rest)]
+    pairs += [(P2, ORTHANT), (ORTHANT, fan2(((1, 0), (1, 1)), ((1, 1), (0, 1)))), (P1, P2)]
+    return pairs
+
+
+def test_support_equal_and_is_subdivision_match_volumes():
+    seen = set()
+    for f, g in _support_pairs():
+        equal = _support_equal_by_volumes(f, g)
+        assert support_equal(f, g) == equal, (f, g)
+        sub = _is_subdivision_by_volumes(f, g)
+        assert is_subdivision(f, g) == sub, (f, g)
+        if f.rank == g.rank:
+            seen.add((is_complete(f), is_complete(g), equal))
+            seen.add((is_complete(f), is_complete(g), sub, "sub"))
+    # (f complete, g complete, answer): every combination that valid fans
+    # allow; two complete fans always have equal supports
+    assert {(True, True, True), (True, False, False), (False, True, False),
+            (False, False, True), (False, False, False)} <= seen
+    assert {(True, True, True, "sub"), (True, True, False, "sub"), (True, False, False, "sub"),
+            (False, True, False, "sub"), (False, False, True, "sub"),
+            (False, False, False, "sub")} <= seen
+
+
+def test_support_of_the_zero_cone_is_not_empty():
+    # the volume cover of a zero-dimensional cone is always full, so the
+    # volume path took {0} and the empty support for equal
+    point, empty = standard_fan("A^n", 0), Fan.make(0, [], [])
+    assert not support_equal(point, empty)
+    assert not is_subdivision(empty, point)

@@ -19,7 +19,6 @@ ALLOWED = {
     "cones._cone_dim",
     "cones._cone_faces",
     "cones._cone_facets",
-    "cones._cone_multiplicity",
     "cones._dual_description",
     "fans._fan_all_cone_indices",
     "fans.hyperplane_slice",
