@@ -22,17 +22,19 @@ take this path by themselves; every other fan (lower dimensional or
 non-smooth maximal cones) keeps the double description of ``cones``,
 which is also the kernel's test oracle.  Once ``resolve`` has
 triangulated, it builds each simplicial maximal cone from its sorted rays
-with no double description, reads the worst cone's parallelepiped points
-off a Smith form, and splits by the same index-set rule, its centers read
-off those points; each new cone's multiplicity is carried from its parent
-(the center coefficient times the parent's), not factored again.
-``Fan.validate`` meets each pair of maximal cones once and reads both the
+with no double description, picks each center off the worst cone's Smith
+form by integer coefficient numerators, and splits by the same index-set
+rule; each new cone's multiplicity is carried from its parent (the center
+coefficient times the parent's), not factored again.  ``Fan.validate``
+certifies complete smooth fans by facet pairing on the kernel table, and
+meets each pair of maximal cones of any other fan once, reading both the
 containment and the common-face checks off that meet.  ``support_equal``
 and ``is_subdivision`` decide complete fans by ``is_complete`` and run
 exact volumes only when neither fan is complete.  ``crosses`` meets tau
-with the maximal cones only (the faces follow), and ``cones`` memoizes
-each meet.  ``product`` and ``insert_p1_coordinate`` build fans by
-construction, so they validate their inputs, not their output.
+with the maximal cones only (the faces follow), which ``refine`` builds
+once per fan, and ``cones`` memoizes each meet.  ``product`` and
+``insert_p1_coordinate`` build fans by construction, so they validate
+their inputs, not their output.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
-from math import gcd, lcm
+from math import lcm
 from operator import and_, index, mul
 
 from .cones import Cone, dot, saturated_span_basis
@@ -99,14 +101,17 @@ class Fan:
         return None
 
     def validate(self):
-        """Raise unless this is a fan.  Each pair of maximal cones is met
-        once, and both pair checks read the meet: a cone lies in another
-        exactly when the meet is the cone (``Cone`` is canonical), and a
-        meet of two simplicial cones is a face of both exactly when its rays
-        are rays of both (the faces of a simplicial cone are spanned by the
-        subsets of its rays).  A pair with a non-simplicial cone asks
-        ``Cone.has_face``.  Every containment is checked before any face,
-        so a fan failing both checks reports the containment.
+        """Raise unless this is a fan.  ``_certified_complete`` accepts
+        a complete smooth fan of rank >= 2 with no meet.  Otherwise each
+        pair of maximal cones is met once, and both pair checks read the
+        meet: a cone lies in another exactly when the meet is the cone
+        (``Cone`` is canonical), and a meet of two simplicial cones is a
+        face of both exactly when its rays are rays of both (the faces of a
+        simplicial cone are spanned by the subsets of its rays).  A pair
+        with a non-simplicial cone asks ``Cone.has_face``.  Every
+        containment is checked before any face, so a fan failing both
+        checks reports the containment.  The certificate only ever
+        accepts, so an invalid fan raises as the pairwise checks decide.
         """
         if self.rank < 0:
             raise FanError("rank must be >= 0")
@@ -124,6 +129,8 @@ class Fan:
         used = {i for c in self.maximal_cones for i in c}
         if used and (min(used) < 0 or max(used) >= len(self.rays)):
             raise FanError("cone index out of range")
+        if _certified_complete(self):
+            return
         cones = self.maximal()
         for c, idx in zip(cones, self.maximal_cones):
             # strong convexity is checked inside Cone.make; also insist the
@@ -239,6 +246,46 @@ def _dual_basis(rows):
     return tuple(zip(*(v @ u).entries))
 
 
+def _certified_complete(fan: Fan) -> bool:
+    """Is ``fan`` a complete fan, certified from the kernel table?  True
+    when the rank is at least 2, every maximal cone is unimodular of full
+    dimension (``_unimodular_inverses``), and (a) every facet (a cone's
+    indices minus one) lies in exactly two maximal cones, on opposite
+    sides: its dual vector in one is negative on the other's opposite ray;
+    (b) the sum of the first cone's rays lies in no other maximal cone.
+    False says nothing: the caller runs the pairwise checks.
+
+    Proof (the pseudo-manifold criterion for triangulations).  Count the
+    cones holding a generic point of the sphere.  Crossing a facet leaves
+    the cones on one side of it and enters their partners on the other,
+    so the count does not change; the sphere off the codimension-2 faces
+    is connected for rank >= 2, so the count is constant, and by (b) it
+    is 1.  The same count in the quotient by a face G shows that the
+    cones holding G cover a neighbourhood of each point of G's relative
+    interior.  A full-dimensional cone through such a point holds generic
+    points near it, each already covered once, so it holds G.  So two
+    maximal cones meet in the cone of their shared rays, a face of both,
+    and no maximal cone lies in another.
+    """
+    if fan.rank < 2:
+        return False
+    table = _unimodular_inverses(fan)
+    if table is None:
+        return False
+    sides = {}
+    for j, mc in enumerate(fan.maximal_cones):
+        for k in range(fan.rank):
+            sides.setdefault(mc[:k] + mc[k + 1 :], []).append((j, k))
+    for pair in sides.values():
+        if len(pair) != 2:
+            return False
+        (j, k), (i, m) = pair
+        if dot(table[j][k], fan.rays[fan.maximal_cones[i][m]]) >= 0:
+            return False
+    inside = tuple(map(sum, zip(*(fan.rays[i] for i in fan.maximal_cones[0]))))
+    return not any(_in_unimodular(duals, inside) for duals in table[1:])
+
+
 def _in_unimodular(duals, x) -> bool:
     """Is ``x`` in the cone whose kernel-table entry is ``duals``?"""
     for w in duals:
@@ -330,7 +377,7 @@ def is_complete(fan: Fan) -> bool:
     )
 
 
-def crosses(tau: Cone, fan: Fan) -> bool:
+def crosses(tau: Cone, fan: Fan, cones=None) -> bool:
     """Does ``tau`` cross the fan: some cone whose meet with tau is not its face?
 
     Only the maximal cones are tested.  Suppose tau meets every maximal
@@ -338,11 +385,12 @@ def crosses(tau: Cone, fan: Fan) -> bool:
     ``tau ∩ F = G ∩ F``, a face of sigma inside F, and so a face of F.
     So no face crosses tau unless a maximal cone does.  The argument uses
     only that each cone of the fan is a face of a maximal one, so it holds
-    for any collection of cones, valid fan or not.
+    for any collection of cones, valid fan or not.  ``cones`` is
+    ``fan.maximal()`` when the caller has built it already.
     """
     if tau.ambient != fan.rank:
         raise FanError("ambient rank mismatch")
-    return any(tau.crosses(fan.cone(mc)) for mc in fan.maximal_cones)
+    return any(tau.crosses(c) for c in cones or fan.maximal())
 
 
 # -- star subdivision ----------------------------------------------------
@@ -567,10 +615,11 @@ def _sliced_volume(cone: Cone, basis, height) -> Fraction:
 
 def covers(target_cone: Cone, pieces) -> bool:
     """Do ``pieces`` (cones inside ``target_cone`` with disjoint
-    interiors) cover it?  Exact sliced-volume comparison."""
+    interiors) cover it?  Exact sliced-volume comparison; a
+    zero-dimensional target needs one piece, the zero cone."""
     d = target_cone.dim
     if d == 0:
-        return True
+        return any(p.dim == 0 for p in pieces)
     basis = saturated_span_basis(target_cone.rays, target_cone.ambient)
     _, drays = target_cone.dual()
     height = tuple(
@@ -669,43 +718,67 @@ def support_equal(f: Fan, g: Fan) -> bool:
 def fundamental_points(cone: Cone):
     """Nonzero lattice points in the half-open fundamental parallelepiped
     ``{sum lam_i u_i : 0 <= lam_i < 1}`` of a simplicial cone, with their
-    coefficient vectors, as sorted (point, lam) pairs.
+    coefficient vectors, as sorted (point, lam) pairs (``_parallelepiped``)."""
+    denom, numerators = _parallelepiped(cone)
+    return sorted(
+        (_parallelepiped_point(cone, nums, denom), tuple(Fraction(n, denom) for n in nums))
+        for nums in numerators
+    )
+
+
+def _parallelepiped(cone: Cone):
+    """``(denom, numerators)``: the coefficient vectors of the nonzero
+    fundamental-parallelepiped points of a simplicial cone, each as the
+    integer numerators of its ``lam_i`` over ``denom``.
 
     With the rays as the columns of ``A`` and ``D = U A V`` its Smith
     form, ``A lam`` is integral exactly when ``U A lam = D V^-1 lam`` is,
     that is when ``V^-1 lam`` lies in ``(Z/d_1) x ... x (Z/d_k)``.  So the
     coefficient vectors are the fractional parts of ``V (z_1/d_1, ...,
     z_k/d_k)`` for ``0 <= z_i < d_i``: one per element of the quotient of
-    the saturated span by the ray lattice, no bounding-box scan.
+    the saturated span by the ray lattice, no bounding-box scan.  All are
+    multiples of ``1/denom``, ``denom = lcm(d_i)``.
     """
     d_mat, _, v = smith_normal_form(IntMatrix.from_rows(cone.rays).transpose())
     diag = d_mat.diagonal()
     if len(diag) < len(cone.rays) or 0 in diag:
         raise FanError("rays not independent")
-    # coefficients are multiples of 1/denom; column i of V steps by denom/d_i
     denom = lcm(*diag)
+    # column i of V steps by denom/d_i
     scaled = [[x * (denom // d) for x, d in zip(row, diag)] for row in v.entries]
-    points = []
-    for residue in itertools.product(*[range(d) for d in diag]):
-        if not any(residue):
-            continue
-        nums = [sum(w * z for w, z in zip(row, residue)) % denom for row in scaled]
-        pt = tuple(
-            sum(n * r[a] for n, r in zip(nums, cone.rays)) // denom
-            for a in range(cone.ambient)
-        )
-        points.append((pt, tuple(Fraction(n, denom) for n in nums)))
-    return sorted(points)
+    residues = itertools.islice(itertools.product(*[range(d) for d in diag]), 1, None)
+    return denom, [
+        tuple(sum(w * z for w, z in zip(row, residue)) % denom for row in scaled)
+        for residue in residues
+    ]
 
 
-def _parallelepiped_points(cone: Cone):
-    """Primitive nonzero fundamental-parallelepiped points of a simplicial
-    cone, as sorted (point, coefficient) pairs; resolution centers.
+def _parallelepiped_point(cone: Cone, nums, denom):
+    """The point ``sum (nums_i / denom) u_i`` over the rays of ``cone``."""
+    return tuple(
+        sum(n * r[a] for n, r in zip(nums, cone.rays)) // denom for a in range(cone.ambient)
+    )
 
-    A point ``p`` with gcd ``g`` has the parallelepiped point ``p/g``
-    (coefficients ``lam/g``), so the primitive ones are those of gcd 1.
-    """
-    return [(pt, lam) for pt, lam in fundamental_points(cone) if gcd(*pt) == 1]
+
+def _resolution_center(cone: Cone):
+    """``(point, nums, denom)``: the point ``resolve`` inserts into a
+    non-smooth simplicial cone, coefficients as in ``_parallelepiped``.
+    It is the least nonzero parallelepiped point by its positive
+    coefficients, largest first (numerators over one denominator order as
+    the fractions do), then by the point; only the tied points are formed.
+    It is primitive: for ``g > 1`` a point ``g q`` has the parallelepiped
+    point ``q``, with coefficients divided by ``g``."""
+    denom, numerators = _parallelepiped(cone)
+    if not numerators:
+        raise FanError("non-smooth cone with empty parallelepiped")
+    profiles = [sorted(filter(None, nums), reverse=True) for nums in numerators]
+    least = min(profiles)
+    point, nums = min(
+        (_parallelepiped_point(cone, nums, denom), nums)
+        for nums, profile in zip(numerators, profiles)
+        if profile == least
+    )
+    return point, nums, denom
 
 
 def resolve(fan: Fan):
@@ -731,14 +804,14 @@ def resolve(fan: Fan):
     multiplicity are built once and kept while the cone survives.
 
     No step runs a double description or a Smith form beyond the worst
-    cone's ``fundamental_points``.  After triangulation every maximal cone
+    cone's ``_resolution_center``.  After triangulation every maximal cone
     lists linearly independent primitive rays, which are its extreme
     rays, so its ``Cone`` is its sorted rays, the value ``Cone.make``
     would return; its multiplicity is read off a Smith form once, here.
     A split replaces a center ray ``u_i`` (``lam_i > 0``) by ``p = sum
     lam_j u_j``, so the new rays are again independent, and ``p`` is
-    primitive by choice.  In every maximal cone holding the center, ``p``
-    has the coefficients ``lam`` on the center rays and 0 on the others,
+    primitive (``_resolution_center``).  In every maximal cone holding the
+    center, ``p`` has the coefficients ``lam`` on the center rays and 0 on the others,
     so the piece that drops ``u_i`` has ``lam_i`` times that cone's
     multiplicity: its ray lattice changes by a matrix of determinant
     ``lam_i``.
@@ -761,12 +834,9 @@ def resolve(fan: Fan):
     mults = {mc: c.multiplicity() for mc, c in cones.items()}
     while (mc := _worst_cone(cones, mults)) is not None:
         cone = cones[mc]
-        candidates = _parallelepiped_points(cone)
-        if not candidates:
-            raise FanError("non-smooth cone with empty parallelepiped")
-        point, lam = min(candidates, key=_piece_profile)
+        point, nums, denom = _resolution_center(cone)
         ray_of = {fan.rays[i]: i for i in mc}
-        coeff = {ray_of[r]: f for r, f in zip(cone.rays, lam) if f > 0}
+        coeff = {ray_of[r]: n for r, n in zip(cone.rays, nums) if n}
         center = tuple(sorted(coeff))
         holders = [h for h in cones if coeff.keys() <= set(h)]
         fan, step = _split_at_center(fan, center, point)
@@ -777,15 +847,8 @@ def resolve(fan: Fan):
             m = mults.pop(h)
             for i, piece in _split_pieces(h, center, v).items():
                 cones[piece] = Cone(fan.rank, tuple(sorted(fan.rays[j] for j in piece)))
-                mults[piece] = m * coeff[i].numerator // coeff[i].denominator
+                mults[piece] = m * coeff[i] // denom
     return fan, steps
-
-
-def _piece_profile(item):
-    """Sort key of a (point, lam) resolution center: its positive
-    coefficients, largest first, then the point."""
-    point, lam = item
-    return tuple(sorted((f for f in lam if f > 0), reverse=True)), point
 
 
 def _worst_cone(cones, mults):
@@ -908,16 +971,18 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
 
     steps = []
     fan = sigma
+    cones = fan.maximal()  # rebuilt only when a tau changes the fan
     taus = [delta.cone(idx) for idx in delta.all_cone_indices()]
     taus = [t for t in taus if t.rays]
     for tau in sorted(taus, key=lambda c: (-c.dim, c.rays)):
-        if not crosses(tau, fan):
+        if not crosses(tau, fan, cones):
             continue
         if eta.contains_cone(tau):
             continue
         psi = _separating_functional(eta, tau)
         if psi is None:
             raise FanError("no separating functional; eta and tau do not meet in a face")
+        before = len(steps)
         fan = _engine(fan, psi, eta, steps)
 
         def in_scope(f: Fan, pair, _psi=psi):
@@ -929,7 +994,9 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
 
         for phi in _cut_functionals(tau):
             fan = _engine(fan, phi, eta, steps, scope=in_scope)
-        if crosses(tau, fan):
+        if len(steps) > before:
+            cones = fan.maximal()
+        if crosses(tau, fan, cones):
             raise FanError("refinement failed to clear a crossing cone")
     if fan.find_cone(eta) is None:
         raise FanError("refinement lost eta")

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,9 @@ from logtoric.cones import Cone, _cone_multiplicity, dot
 from logtoric.fans import (
     Fan,
     FanError,
+    _certified_complete,
     _dual_basis,
     _in_unimodular,
-    _parallelepiped_points,
     _unimodular_inverses,
     covers,
     crosses,
@@ -787,6 +788,21 @@ def _box_scan_points(cone):
     return out
 
 
+def _parallelepiped_points(cone):
+    """The candidate resolution centers as first written: the primitive
+    nonzero parallelepiped points of a simplicial cone as sorted (point,
+    lam) pairs.  A point ``p`` of gcd ``g`` has the parallelepiped point
+    ``p/g`` (coefficients ``lam/g``), so they are the points of gcd 1."""
+    return [(pt, lam) for pt, lam in fundamental_points(cone) if gcd(*pt) == 1]
+
+
+def _piece_profile(item):
+    """The old center key of a (point, lam) pair: its positive
+    coefficients, largest first, then the point."""
+    point, lam = item
+    return tuple(sorted((f for f in lam if f > 0), reverse=True)), point
+
+
 def _seeded_simplicial_cones():
     rng = random.Random(1107)
     cones = []
@@ -952,6 +968,41 @@ def test_resolve_matches_point_location_oracle(fan, monkeypatch):
     for mc in out.maximal_cones:
         assert out.cone(mc) == Cone(out.rank, tuple(sorted(out.rays[i] for i in mc)))
     assert Fan.make(out.rank, out.rays, out.maximal_cones, validate=False) == out
+
+
+def _center_oracle_fans():
+    """Seeded single cones of rank 2 and 3, two weighted projective
+    planes, and a full cone beside a non-smooth 2-dimensional one in rank
+    3."""
+    rng = random.Random(3301)
+    fans = [_random_simplicial_fan(rng, 2, 9) for _ in range(6)]
+    fans += [_random_simplicial_fan(rng, 3, 4) for _ in range(6)]
+    fans.append(Fan.make(2, [(1, 0), (0, 1), (-2, -3)], [(0, 1), (1, 2), (0, 2)]))
+    fans.append(Fan.make(2, [(1, 0), (0, 1), (-5, -7)], [(0, 1), (1, 2), (0, 2)]))
+    fans.append(Fan.make(3, [(1, 0, 0), (0, 1, 0), (5, 7, 30), (-1, 0, 0), (-1, -3, -3)],
+                         [(0, 1, 2), (3, 4)]))
+    return fans
+
+
+def test_resolve_centers_match_the_parallelepiped_minimum(monkeypatch):
+    # every worst cone of every step: the one-pass integer center against
+    # the minimum of the sorted Fraction profiles
+    seen = []
+    center = fans_module._resolution_center
+
+    def spy(cone):
+        seen.append((cone, center(cone)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fans_module, "_resolution_center", spy)
+    for fan in _center_oracle_fans():
+        resolve(fan)
+    assert {(len(c.rays), c.ambient) for c, _ in seen} == {(2, 2), (3, 3), (2, 3)}
+    assert len(seen) > 100
+    for cone, (point, nums, denom) in seen:
+        want_point, want_lam = min(_parallelepiped_points(cone), key=_piece_profile)
+        assert point == want_point, cone
+        assert tuple(Fraction(n, denom) for n in nums) == want_lam, cone
 
 
 @pytest.mark.parametrize(
@@ -1164,9 +1215,55 @@ def _seeded_validate_fans():
     return out
 
 
+def _signed_permutation(rng, fan):
+    """``fan`` moved by a random signed permutation of the coordinates,
+    unvalidated."""
+    perm = rng.sample(range(fan.rank), fan.rank)
+    signs = [rng.choice((1, -1)) for _ in range(fan.rank)]
+    rays = [tuple(s * r[k] for s, k in zip(signs, perm)) for r in fan.rays]
+    return _unchecked(fan.rank, rays, fan.maximal_cones)
+
+
+def _certified_towers():
+    """Seeded star-subdivision towers over (P^1)^2 and (P^1)^3, each moved
+    by a signed permutation: complete smooth fans the certificate takes."""
+    rng = random.Random(2020)
+    return [
+        _signed_permutation(rng, _random_tower(rng, p1_power(n), steps))
+        for n in (2, 3)
+        for steps in (0, 1, 3, 6)
+    ]
+
+
+def _cyclic(rays):
+    """Rank-2 cones joining consecutive rays, cyclically, unvalidated."""
+    m = len(rays)
+    return _unchecked(2, rays, [(i, (i + 1) % m) for i in range(m)])
+
+
+# every cone unimodular and every facet paired with opposite sides, yet
+# each point covered twice: the walk round the rays winds twice
+DOUBLE_COVER = _cyclic([
+    (1, 0), (-3, 1), (-1, 0), (-3, -1), (-2, -1), (-3, -2), (-1, -1),
+    (-2, -3), (-1, -2), (-1, -3), (1, 2), (0, 1), (-1, 1), (0, -1),
+])
+# every facet in two cones and the first cone's interior covered once, but
+# (0,-1) has both its cones on one side: the walk folds back there
+FOLD = _cyclic([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1), (-2, -1)])
+
+
 def test_validate_matches_the_two_loop_oracle():
     outcomes = []
-    for fan in VALIDATE_CASES + _seeded_validate_fans():
+    towers = _certified_towers()
+    assert all(_certified_complete(fan) for fan in towers)
+    for fan in (DOUBLE_COVER, FOLD, P1, p1_power(1)):
+        assert not _certified_complete(fan)
+    assert _unimodular_inverses(DOUBLE_COVER) and _unimodular_inverses(FOLD)
+    for fan in towers + [DOUBLE_COVER, FOLD]:
+        assert _validation_outcome(_validate_by_two_loops, fan) == (
+            None if fan in towers else (FanError, "maximal cone contained in another")
+        )
+    for fan in VALIDATE_CASES + _seeded_validate_fans() + towers + [DOUBLE_COVER, FOLD]:
         want = _validation_outcome(_validate_by_two_loops, fan)
         assert _validation_outcome(Fan.validate, fan) == want, fan
         outcomes.append(want and want[1])
@@ -1256,3 +1353,16 @@ def test_support_of_the_zero_cone_is_not_empty():
     point, empty = standard_fan("A^n", 0), Fan.make(0, [], [])
     assert not support_equal(point, empty)
     assert not is_subdivision(empty, point)
+
+
+def test_covers_needs_a_piece_for_the_zero_cone():
+    # in rank 2 the support {0} is not the empty support, either way round
+    torus, empty = standard_fan("Gm^n", 2), Fan.make(2, [], [])
+    assert not support_equal(torus, empty)
+    assert not support_equal(empty, torus)
+    assert not is_subdivision(empty, torus)
+    assert not is_subdivision(torus, empty)
+    assert support_equal(torus, torus) and is_subdivision(torus, torus)
+    zero = Cone.zero(2)
+    assert not covers(zero, [])
+    assert covers(zero, [zero])
