@@ -171,6 +171,11 @@ class Presentation:
                     out[i] += k * v
         return tuple(out)
 
+    def image(self, c):
+        """Generator ``c``'s image in core coordinates, as (core position,
+        coefficient) pairs."""
+        return self._images[c]
+
     def normal_form(self, vec):
         return self._basis.reduce(self.to_core(vec))
 

@@ -5,9 +5,9 @@ The presentation is the classical one: degree-q generators are the
 orbit closure classes of the q-dimensional cones, and for every
 (q-1)-cone tau and every character m orthogonal to tau there is a
 relation  sum_{rho: tau+rho a cone} <m, u_rho> [V(tau+rho)] = 0.
-Divisor classes move around through their support functions, normalized
-so the function of a ray divisor is -1 on its own ray and 0 on the
-others.
+A ray divisor's support function is linear on each cone, -1 on its own
+ray and 0 on the others, so it is never tabulated: a structure map reads
+each divisor's image off the character of one cone.
 
 Pullback and the two restrictions are ring maps fixed by where they send
 the ray divisors, so each is ``map_divisors`` applied to a ``DivisorMap``.
@@ -18,10 +18,10 @@ refinement edge.  The map memoizes the image of each generator cone (the
 product of its rays' divisors, unreduced), and each class image is the
 sum of those images reduced once to the normal form.
 
-The characters on a smooth cone (the support function's Cartier data,
-the Stanley-Reisner rewrite) depend only on the cone's rays and the
-target values, so ``_cone_character`` solves each distinct system once,
-in a bounded memo that all fans of a tower share.
+The characters on a smooth cone (the support function on one cone, the
+Stanley-Reisner rewrite) depend only on the cone's rays and the target
+values, so ``_cone_character`` solves each distinct system once, in a
+bounded memo that all fans of a tower share.
 """
 
 from __future__ import annotations
@@ -238,8 +238,12 @@ def _divisor_product(fan: Fan, divisors) -> list:
     (ray-coefficient vectors), in degree ``len(divisors)``."""
     if len(divisors) > fan.rank:
         return []
-    coords = [1]  # the unit: CH^0 has the one generator () and no relations
-    for q, d in enumerate(divisors):
+    if not divisors:
+        return [1]  # the unit: CH^0 has the one generator () and no relations
+    # the degree-1 generators are rays, so the first divisor is its own
+    # coordinate vector
+    coords = [divisors[0][i] for (i,) in presentation_data(fan, 1)[0]]
+    for q, d in enumerate(divisors[1:], 1):
         coords = _times_divisor(fan, q, coords, d)
     return coords
 
@@ -255,35 +259,6 @@ def multiply_by_divisor(cls: ChowClass, divisor) -> ChowClass:
 def class_from_divisor_product(fan: Fan, divisors) -> ChowClass:
     """Product of degree-1 classes (ray-coefficient vectors)."""
     return _class_of(fan, len(divisors), _divisor_product(fan, divisors))
-
-
-# -- support functions ---------------------------------------------------------
-
-
-_SUPPORT_CACHE: dict = {}
-
-
-def support_function(fan: Fan, ray_index: int):
-    """Cartier data of the ray divisor: for each maximal cone sigma a
-    character m_sigma with <m_sigma, u_rho'> = -delta on sigma's rays."""
-    key = (fan, ray_index)
-    if key in _SUPPORT_CACHE:
-        return _SUPPORT_CACHE[key]
-    _check_smooth_complete(fan)
-    data = {}
-    for mc in fan.maximal_cones:
-        if ray_index not in mc:
-            # zero right-hand side of a square unimodular system
-            data[mc] = (0,) * fan.rank
-            continue
-        m = _cone_character(
-            tuple(fan.rays[i] for i in mc), tuple(-1 if i == ray_index else 0 for i in mc)
-        )
-        if m is None:
-            raise ChowError("support function needs a smooth complete fan")
-        data[mc] = m
-    _SUPPORT_CACHE[key] = data
-    return data
 
 
 # -- the four structure maps ----------------------------------------------------
@@ -316,18 +291,33 @@ class DivisorMap:
 def map_divisors(cls: ChowClass, divisors: DivisorMap) -> ChowClass:
     """Image of ``cls`` under the ring map ``divisors``: each generator
     cone becomes the product of the images of its rays.  The images are
-    summed unreduced and the sum is reduced once; the map is well
-    defined on classes, so the normal form does not depend on the
-    representatives."""
+    summed unreduced and the sum is reduced once, through the target
+    presentation looked up once; the map is well defined on classes, so
+    the normal form does not depend on the representatives."""
     target = divisors.target
     gens, _, _ = presentation_data(cls.fan, cls.q)
-    out_gens, _, _ = presentation_data(target, cls.q)
+    out_gens, _, basis = presentation_data(target, cls.q)
     acc = [0] * len(out_gens)
     for cone, c in zip(gens, cls.coords):
         if c:
             for k, x in divisors.image(cone):
                 acc[k] += c * x
-    return _class_of(target, cls.q, acc)
+    return ChowClass(target, cls.q, basis.reduce(acc))
+
+
+def _support_character(fan: Fan, sigma, rho):
+    """The support function of the divisor of ``rho`` on the smooth
+    maximal cone ``sigma``: the character that is -1 on ``rho`` and 0 on
+    the other rays of ``sigma``, and zero when ``rho`` is not among
+    them."""
+    if rho not in sigma:
+        return (0,) * fan.rank
+    m = _cone_character(
+        tuple(fan.rays[i] for i in sigma), tuple(-1 if i == rho else 0 for i in sigma)
+    )
+    if m is None:
+        raise ChowError("support function needs a smooth complete fan")
+    return m
 
 
 def pullback_divisors(source: Fan, target: Fan):
@@ -336,9 +326,11 @@ def pullback_divisors(source: Fan, target: Fan):
     the returned map.
 
     The coefficient of a source ray r in the pullback of the divisor of
-    rho is -psi_rho(r).  Each source ray is located once, in the target
-    maximal cone that the subdivision witness assigns to a source cone
-    through it; psi_rho is linear on that cone.
+    rho is -psi_rho(r).  psi_rho is -delta on the target's rays, so a
+    source ray that is the target ray j gets [j == rho].  Each new ray is
+    located once, in the target maximal cone that the subdivision
+    witness assigns to a source cone through it; psi_rho is linear on
+    that cone.
     """
     _check_smooth_complete(source)
     _check_smooth_complete(target)
@@ -351,11 +343,16 @@ def pullback_divisors(source: Fan, target: Fan):
             home.setdefault(k, target.maximal_cones[w])
     if len(home) != len(source.rays):
         raise ChowError("a source ray lies in no maximal cone")
+    target_index = {u: j for j, u in enumerate(target.rays)}
+    shared = [target_index.get(u) for u in source.rays]
 
     @cache
     def divisor_of(rho):
-        data = support_function(target, rho)
-        return tuple(-dot(data[home[k]], u) for k, u in enumerate(source.rays))
+        return tuple(
+            int(j == rho) if j is not None
+            else -dot(_support_character(target, home[k], rho), u)
+            for k, (j, u) in enumerate(zip(shared, source.rays))
+        )
 
     return DivisorMap(source, divisor_of)
 
@@ -380,26 +377,24 @@ def star_quotient_divisors(fan: Fan, tau, quotient: Fan, lift):
     first use.
 
     ``lift[quotient ray index]`` is a ray of the fan projecting onto that
-    quotient ray.  The divisor's support function is first shifted by the
-    Cartier datum of a fixed maximal cone containing tau, so that it
+    quotient ray.  The divisor's support function psi is first shifted by
+    its character m0 on a fixed maximal cone containing tau, so that it
     vanishes along tau and descends to the star; the coefficient of a
-    quotient ray is then minus the descended value at the lift.
+    quotient ray is then minus the descended value at the lift,
+    ``<m0, u_up> - psi(u_up)``.  The lift is a ray of the fan, where psi
+    is -delta, so only m0 is solved for, and it is zero unless rho is a
+    ray of that cone.
     """
+    _check_smooth_complete(fan)
     _check_smooth_complete(quotient)
     tau = set(tau)
-    star = [mc for mc in fan.maximal_cones if tau <= set(mc)]
-    base_cone = star[0]
+    base_cone = next(mc for mc in fan.maximal_cones if tau <= set(mc))
     lifts = [lift[qi] for qi in range(len(quotient.rays))]
-    homes = [next(mc for mc in star if up in mc) for up in lifts]
 
     @cache
     def divisor_of(rho):
-        data = support_function(fan, rho)
-        m0 = data[base_cone]
-        return tuple(
-            dot(m0, fan.rays[up]) - dot(data[mc], fan.rays[up])
-            for up, mc in zip(lifts, homes)
-        )
+        m0 = _support_character(fan, base_cone, rho)
+        return tuple(int(up == rho) + dot(m0, fan.rays[up]) for up in lifts)
 
     return DivisorMap(quotient, divisor_of)
 

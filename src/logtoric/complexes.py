@@ -17,9 +17,14 @@ which closes the diagrams under faces and returns a face table (the
 target node one degree down, and for a zero face the ray e_i and the
 lift).  ``_face_matrix`` reads that table and builds each node's
 restricted ray divisors once per face index and kind; the pulled-back
-ray divisors are built once per refinement edge.  Every generator of
-that node or edge is then mapped through them; each such map forms the
-image of a generator cone once and reduces each class image once.
+ray divisors are built once per refinement edge.  Each generator's unit
+class is formed once per build, by ``build_colimit``, and every edge and
+face maps those classes through the divisors; each such map forms the
+image of a generator cone once and reduces each class image once.  A
+face image is kept sparse, as (core position, coefficient) pairs: the
+reduced target class composed with the target generators' core images.
+Dense columns are made only for the core generators the chain groups
+use.
 """
 
 from __future__ import annotations
@@ -59,6 +64,8 @@ class ColimitGroup:
     diagram: CnrDiagram
     gens: list  # (node_index, cone)
     gen_index: dict
+    starts: list  # node index -> index of its first generator
+    units: list  # the unit class of each generator, aligned with gens
     presentation: Presentation
 
     def core_of_class(self, node_index: int, cls: ChowClass):
@@ -90,32 +97,36 @@ class ColimitGroup:
 
 
 def build_colimit(diagram: CnrDiagram, q: int) -> ColimitGroup:
-    """Every node's generators and relation rows, node by node, then one
-    transition row per refinement edge and parent generator."""
+    """Every node's generators, their unit classes and relation rows, node
+    by node, then one transition row per refinement edge and parent
+    generator."""
     gens = []
     gen_index = {}
+    starts = []
+    units = []
     rows = []
     for node_idx, node in enumerate(diagram.nodes):
         cones, node_rows, _ = presentation_data(node.fan, q)
         start = len(gens)
+        starts.append(start)
         for cone in cones:
             gen_index[(node_idx, cone)] = len(gens)
             gens.append((node_idx, cone))
+            units.append(make_class(node.fan, q, {cone: 1}))
         rows.extend({start + j: v for j, v in enumerate(row) if v} for row in node_rows)
     for child, parent in diagram.refinement_edges():
         source = diagram.nodes[child].fan
         target = diagram.nodes[parent].fan
         divisor_of = pullback_divisors(source, target)
-        pcones, _, _ = presentation_data(target, q)
-        ccones, _, _ = presentation_data(source, q)
-        for cone in pcones:
-            cls = make_class(target, q, {cone: 1})
-            pulled = pullback_subdivision(source, target, cls, divisor_of)
+        first = starts[parent]
+        for g in range(first, first + len(presentation_data(target, q)[0])):
+            pulled = pullback_subdivision(source, target, units[g], divisor_of)
             rows.append(
-                {gen_index[(parent, cone)]: 1}
-                | {gen_index[(child, cc)]: -c for cc, c in zip(ccones, pulled.coords) if c}
+                {g: 1} | {starts[child] + j: -c for j, c in enumerate(pulled.coords) if c}
             )
-    return ColimitGroup(q, diagram, gens, gen_index, Presentation(len(gens), rows))
+    return ColimitGroup(
+        q, diagram, gens, gen_index, starts, units, Presentation(len(gens), rows)
+    )
 
 
 @dataclass
@@ -190,23 +201,27 @@ def _face_node(below: CnrDiagram, fan, depth: int) -> int:
 def _face_matrix(
     colim_n: ColimitGroup, colim_prev: ColimitGroup, faces, i: int, kind: int
 ):
-    """Core-coordinate image of each ambient generator of colim_n under
-    the face (i, kind).
+    """Core image of each ambient generator of colim_n under the face (i,
+    kind), as a sparse row of (core position, coefficient) pairs.
 
     ``faces`` is the degree-n face table of ``_close_under_faces``.
     ``colim_n.gens`` is grouped by node, so each node's divisor map is
     built once, against its target fan, and dropped when the next node
-    starts."""
+    starts.  Each generator's unit class is restricted, and the reduced
+    image is composed with the core images of the target node's
+    generators."""
     nodes = colim_n.diagram.nodes
     prev = colim_prev.diagram.nodes
+    core_image = colim_prev.presentation.image
     images = []
     current = None
-    for node_idx, cone in colim_n.gens:
-        fan = nodes[node_idx].fan
+    for (node_idx, _), cls in zip(colim_n.gens, colim_n.units):
         if node_idx != current:
             current = node_idx
+            fan = nodes[node_idx].fan
             zero_target, ray, lift, one_target = faces[node_idx][i - 1]
             target = one_target if kind else zero_target
+            start = colim_prev.starts[target]
             face = prev[target].fan
             if kind == 0:
                 restrict = partial(
@@ -218,26 +233,31 @@ def _face_matrix(
                     restrict_slice, fan, i - 1,
                     divisor_of=slice_divisors(fan, i - 1, face),
                 )
-        cls = make_class(fan, colim_n.q, {cone: 1})
-        images.append(colim_prev.core_of_class(target, restrict(cls)))
+        acc = {}
+        for k, x in enumerate(restrict(cls).coords):
+            if x:
+                for pos, v in core_image(start + k):
+                    acc[pos] = acc.get(pos, 0) + x * v
+        images.append([(pos, v) for pos, v in acc.items() if v])
     return images
 
 
 def _assert_descends(colim_n: ColimitGroup, images, colim_prev: ColimitGroup):
     """Every relation of colim_n maps to zero downstairs: each elimination,
-    written as e_c - expr, then each core row."""
+    written as e_c - expr, then each core row.  ``images`` are the sparse
+    rows of ``_face_matrix``."""
     pres = colim_n.presentation
     target = colim_prev.presentation
     relations = chain(
         ({c: 1} | {c2: -v for c2, v in expr.items()} for c, expr in pres.eliminations),
         ({g: v for g, v in zip(pres.core_cols, row) if v} for row in pres.core_rows),
     )
-    # most images have a few nonzeros: keep them, keyed by target generator
-    sparse = [[(target.core_cols[k], x) for k, x in enumerate(im) if x] for im in images]
+    core_cols = target.core_cols
     for relation in relations:
         acc = {}
         for g, v in relation.items():
-            for c, x in sparse[g]:
+            for k, x in images[g]:
+                c = core_cols[k]
                 acc[c] = acc.get(c, 0) + v * x
         if not target.is_zero(acc):
             raise ComplexError("face map does not descend to the colimit")
@@ -274,7 +294,7 @@ def build_complex(
     lattices = [c.presentation.relation_lattice_rows() for c in colimits]
 
     # face maps on core coordinates: face_maps[kind][(n, i)][j] is the
-    # image of core generator j under the face (i, kind)
+    # image of core generator j under the face (i, kind), made dense
     face_maps = ({}, {})
     for n in range(1, n_max + 1):
         for i in range(1, n + 1):
@@ -282,7 +302,7 @@ def build_complex(
                 images = _face_matrix(colimits[n], colimits[n - 1], faces[n], i, kind)
                 _assert_descends(colimits[n], images, colimits[n - 1])
                 face_maps[kind][(n, i)] = [
-                    images[g] for g in colimits[n].presentation.core_cols
+                    _dense(images[g], sizes[n - 1]) for g in colimits[n].presentation.core_cols
                 ]
 
     # chain groups: the intersection of the zero-face kernels, inside the
@@ -350,6 +370,14 @@ def _check_square_zero(cx: NormalizedComplex):
             dd = _apply(cx.differentials[n - 1], col, len(cx.chain_bases[n - 2]))
             if not pres.is_zero(cx.sparse_of_chain(n - 2, dd)):
                 raise ComplexError("differential does not square to zero")
+
+
+def _dense(row, dim):
+    """The sparse (position, coefficient) row as a vector of length ``dim``."""
+    out = [0] * dim
+    for k, v in row:
+        out[k] = v
+    return out
 
 
 def _apply(columns, coeffs, dim):

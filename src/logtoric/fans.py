@@ -67,6 +67,16 @@ class Fan:
     rays: tuple  # tuple of primitive integer vectors
     maximal_cones: tuple  # tuple of sorted tuples of ray indices
 
+    def __hash__(self):
+        # the dataclass hash, computed once per object: the memos keyed by
+        # a fan look it up many times
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rank, self.rays, self.maximal_cones))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @staticmethod
     def make(rank, rays, maximal_cones, validate=True) -> "Fan":
         try:
@@ -348,14 +358,16 @@ def is_smooth(fan: Fan) -> bool:
 def is_complete(fan: Fan) -> bool:
     """Support equals the whole ambient space.
 
-    Checked by facet pairing: nonempty fan, all maximal cones of full
-    dimension, and every facet of a maximal cone lies in exactly two
-    maximal cones.  A facet lies in a cone when each of its rays does;
-    each (cone, ray) membership is tested once, not once per facet.
+    ``_certified_complete`` is tried first: it only ever accepts, and its
+    proof covers any input.  Otherwise checked by facet pairing: nonempty
+    fan, all maximal cones of full dimension, and every facet of a
+    maximal cone lies in exactly two maximal cones.  A facet lies in a
+    cone when each of its rays does; each (cone, ray) membership is
+    tested once, not once per facet.
     """
     if not fan.maximal_cones:
         return False
-    if fan.rank == 0:
+    if fan.rank == 0 or _certified_complete(fan):
         return True
     cones = None
     if _unimodular_inverses(fan) is not None:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from chow_oracles import support_function
 
 from logtoric.chow import (
     ChowError,
@@ -19,7 +20,6 @@ from logtoric.chow import (
     restrict_star,
     scale,
     slice_divisors,
-    support_function,
     unit_class,
 )
 from logtoric.cones import dot

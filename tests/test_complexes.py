@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from chow_oracles import locate, support_function
 
 from logtoric.chow import (
     external_insert,
@@ -331,21 +332,13 @@ def _reference_pullback(source, target, cls):
         class_from_divisor_product,
         presentation_data,
         scale,
-        support_function,
         zero_class,
     )
     from logtoric.cones import dot
 
     def pulled(rho):
         data = support_function(target, rho)
-        coeffs = []
-        for u in source.rays:
-            home = next(
-                mc for mc in target.maximal_cones
-                if target.cone(mc).contains_point(u)
-            )
-            coeffs.append(-dot(data[home], u))
-        return tuple(coeffs)
+        return tuple(-dot(data[locate(target, u)], u) for u in source.rays)
 
     gens, _, _ = presentation_data(target, cls.q)
     acc = zero_class(source, cls.q)
@@ -405,25 +398,21 @@ def _restrict_star_on(quotient, lift, fan, ray, cls):
 
 @pytest.mark.parametrize("n, r, depth", [(2, 0, 1), (2, 1, 1)])
 def test_node_face_maps_match_per_class_restrictions(n, r, depth):
-    # the face table and _face_matrix, against per-class restrictions: each
-    # generator's image class and the fan of its target node
+    # each sparse row of _face_matrix against the restriction of a unit
+    # class formed anew, pushed to the core of the node holding its fan;
+    # that node must be the face table's target
     diagrams = [enumerate_cnr(m, r, depth) for m in range(n + 1)]
     faces = _close_under_faces(diagrams)[n]
     diag, below = diagrams[n], diagrams[n - 1]
     checked = 0
     for q in range(n + r + 1):
         colim, colim_prev = build_colimit(diag, q), build_colimit(below, q)
-        mapped = []
-        core_of_class = colim_prev.core_of_class
-        colim_prev.core_of_class = lambda idx, cls: (
-            mapped.append((idx, cls)) or core_of_class(idx, cls)
-        )
+        size = len(colim_prev.presentation.core_cols)
         for i in range(1, n + 1):
             for kind in (0, 1):
-                mapped.clear()
-                _face_matrix(colim, colim_prev, faces, i, kind)
-                assert len(mapped) == len(colim.gens)
-                for (node_idx, cone), (target, got) in zip(colim.gens, mapped):
+                rows = _face_matrix(colim, colim_prev, faces, i, kind)
+                assert len(rows) == len(colim.gens)
+                for (node_idx, cone), row in zip(colim.gens, rows):
                     node = diag.nodes[node_idx]
                     cls = make_class(node.fan, q, {cone: 1})
                     if kind == 0:
@@ -431,9 +420,56 @@ def test_node_face_maps_match_per_class_restrictions(n, r, depth):
                         want = _restrict_star_on(quotient, lift, node.fan, ray, cls)
                     else:
                         want = restrict_slice(node.fan, i - 1, cls)
-                    assert (below.nodes[target].fan, got) == _canonical_class(want)
+                    fan, want = _canonical_class(want)
+                    target = below.node_index(fan)
+                    assert target == faces[node_idx][i - 1][3 if kind else 0]
+                    dense = [0] * size
+                    for k, v in row:
+                        assert v and not dense[k]
+                        dense[k] = v
+                    assert tuple(dense) == colim_prev.core_of_class(target, want)
                     checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("reverse_order", [False, True])
+def test_star_quotient_and_pullback_divisors_match_support_functions(r, reverse_order):
+    # every ray divisor's image, against the whole support function with
+    # points located by scanning: on a star quotient, <m0, u> - psi(u) at
+    # each lift u, m0 the character on the first maximal cone through the
+    # ray; on a refinement edge, -psi(u) at each source ray u
+    from logtoric.chow import pullback_divisors, star_quotient_divisors
+    from logtoric.cones import dot
+
+    n = 2
+    rng = random.Random(2121 + 2 * r + reverse_order)
+    diag = enumerate_cnr(n, r, 2, reverse_order=reverse_order)
+    nodes = rng.sample(diag.nodes, min(12, len(diag.nodes)))
+    checked = 0
+    for node in nodes:
+        fan = node.fan
+        for i in range(1, n + 1):
+            quotient, lift, ray = face_zero_data(fan, n, r, i)
+            base = next(mc for mc in fan.maximal_cones if ray in mc)
+            got = star_quotient_divisors(fan, (ray,), quotient, lift).divisor_of
+            for rho in range(len(fan.rays)):
+                data = support_function(fan, rho)
+                want = tuple(
+                    dot(data[base], u) - dot(data[locate(fan, u)], u)
+                    for u in (fan.rays[up] for up in lift)
+                )
+                assert got(rho) == want
+                checked += 1
+    edges = diag.refinement_edges()
+    for child, parent in rng.sample(edges, min(12, len(edges))):
+        source, target = diag.nodes[child].fan, diag.nodes[parent].fan
+        got = pullback_divisors(source, target).divisor_of
+        for rho in range(len(target.rays)):
+            data = support_function(target, rho)
+            assert got(rho) == tuple(-dot(data[locate(target, u)], u) for u in source.rays)
+            checked += 1
+    assert checked > 150
 
 
 def _structure_maps(n, r, depth):
@@ -494,7 +530,7 @@ def test_map_divisors_matches_reduction_after_every_term(n, r, depth):
                     cls, divisors
                 )
                 checked += 1
-    assert checked > 200
+    assert checked > 150
 
 
 def test_map_divisors_forms_each_generator_image_once(monkeypatch):

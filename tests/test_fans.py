@@ -3,7 +3,9 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from logtoric.fans import (
     FanError,
     _certified_complete,
     _dual_basis,
+    _holders,
     _in_unimodular,
     _unimodular_inverses,
     covers,
@@ -1274,6 +1277,51 @@ def test_validate_matches_the_two_loop_oracle():
     assert any("non-extreme" in m for m in messages)
     # the two pyramids overlap in half of the first, spanned by its rays
     assert "common face" in _validation_outcome(Fan.validate, VALIDATE_CASES[2])[1]
+
+
+def _complete_by_membership_masks(fan):
+    """``is_complete`` before it tried ``_certified_complete``: facet
+    pairing by membership masks, on the kernel table when there is one."""
+    if not fan.maximal_cones:
+        return False
+    if fan.rank == 0:
+        return True
+    cones = None
+    if _unimodular_inverses(fan) is not None:
+        facets = (
+            [fan.rays[i] for i in mc if i != skip]
+            for mc in fan.maximal_cones
+            for skip in mc
+        )
+    else:
+        cones = fan.maximal()
+        if any(c.dim != fan.rank for c in cones):
+            return False
+        facets = (facet.rays for c in cones for facet in c.facets())
+    holders = _holders(fan, cones)
+    every = (1 << len(fan.maximal_cones)) - 1
+    return all(
+        reduce(and_, map(holders, facet), every).bit_count() == 2
+        for facet in facets
+    )
+
+
+def _result_or_error(predicate, fan):
+    try:
+        return predicate(fan)
+    except Exception as exc:  # the same failure, whichever route raises it
+        return type(exc)
+
+
+def test_is_complete_matches_the_membership_mask_oracle():
+    towers = _certified_towers()
+    fans = VALIDATE_CASES + _seeded_validate_fans() + towers + [DOUBLE_COVER, FOLD]
+    outcomes = [_result_or_error(_complete_by_membership_masks, fan) for fan in fans]
+    assert [_result_or_error(is_complete, fan) for fan in fans] == outcomes
+    # the certificate decides the towers; facet pairing rejects the double
+    # cover and the fold, where some facet ray lies in three or more cones
+    assert outcomes[-len(towers) - 2 :] == [True] * len(towers) + [False, False]
+    assert False in outcomes[: -len(towers) - 2]
 
 
 # -- support equality and subdivision against exact volumes ---------------------

@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "logtoric"
 
 ALLOWED = {
     "chow._PRESENTATIONS",
-    "chow._SUPPORT_CACHE",
     "cones._canonical_rays",
     "cones._cone_dim",
     "cones._cone_faces",
