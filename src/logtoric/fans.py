@@ -67,15 +67,16 @@ class Fan:
     rays: tuple  # tuple of primitive integer vectors
     maximal_cones: tuple  # tuple of sorted tuples of ray indices
 
+    _hash = None  # no annotation, so not a field: set by the first hash
+
     def __hash__(self):
         # the dataclass hash, computed once per object: the memos keyed by
         # a fan look it up many times
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash((self.rank, self.rays, self.maximal_cones))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     @staticmethod
     def make(rank, rays, maximal_cones, validate=True) -> "Fan":
