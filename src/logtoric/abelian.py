@@ -171,10 +171,14 @@ class Presentation:
                     out[i] += k * v
         return tuple(out)
 
-    def image(self, c):
-        """Generator ``c``'s image in core coordinates, as (core position,
-        coefficient) pairs."""
-        return self._images[c]
+    def to_core_sparse(self, vec):
+        """``to_core`` of a sparse vector, kept sparse: a dict core
+        position -> nonzero coefficient."""
+        out = {}
+        for c, k in vec.items():
+            for i, v in self._images[c]:
+                out[i] = out.get(i, 0) + k * v
+        return {i: v for i, v in out.items() if v}
 
     def normal_form(self, vec):
         return self._basis.reduce(self.to_core(vec))

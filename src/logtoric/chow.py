@@ -383,13 +383,18 @@ def star_quotient_divisors(fan: Fan, tau, quotient: Fan, lift):
     quotient ray is then minus the descended value at the lift,
     ``<m0, u_up> - psi(u_up)``.  The lift is a ray of the fan, where psi
     is -delta, so only m0 is solved for, and it is zero unless rho is a
-    ray of that cone.
+    ray of that cone.  That is the descended value only for a lift in
+    the star of tau, so each lift is checked to share a maximal cone
+    with tau.
     """
     _check_smooth_complete(fan)
     _check_smooth_complete(quotient)
     tau = set(tau)
-    base_cone = next(mc for mc in fan.maximal_cones if tau <= set(mc))
+    star = [mc for mc in fan.maximal_cones if tau <= set(mc)]
+    base_cone = star[0]
     lifts = [lift[qi] for qi in range(len(quotient.rays))]
+    if not set().union(*star).issuperset(lifts):
+        raise ChowError("a lift lies outside the star of tau")
 
     @cache
     def divisor_of(rho):

@@ -21,8 +21,8 @@ ray divisors are built once per refinement edge.  Each generator's unit
 class is formed once per build, by ``build_colimit``, and every edge and
 face maps those classes through the divisors; each such map forms the
 image of a generator cone once and reduces each class image once.  A
-face image is kept sparse, as (core position, coefficient) pairs: the
-reduced target class composed with the target generators' core images.
+face image is kept sparse, as a dict core position -> coefficient: the
+reduced target class pushed to the core by ``to_core_sparse``.
 Dense columns are made only for the core generators the chain groups
 use.
 """
@@ -35,7 +35,6 @@ from itertools import chain
 
 from .abelian import Presentation, kernel_mod_lattice
 from .chow import (
-    ChowClass,
     make_class,
     presentation_data,
     pullback_divisors,
@@ -67,14 +66,6 @@ class ColimitGroup:
     starts: list  # node index -> index of its first generator
     units: list  # the unit class of each generator, aligned with gens
     presentation: Presentation
-
-    def core_of_class(self, node_index: int, cls: ChowClass):
-        gens, _, _ = presentation_data(cls.fan, cls.q)
-        vec = {}
-        for cone, c in zip(gens, cls.coords):
-            if c:
-                vec[self.gen_index[(node_index, cone)]] = c
-        return self.presentation.to_core(vec)
 
     def sparse_of_keyed(self, keyed):
         """{(canonical fan, cone): coeff} -> sparse ambient vector."""
@@ -202,17 +193,17 @@ def _face_matrix(
     colim_n: ColimitGroup, colim_prev: ColimitGroup, faces, i: int, kind: int
 ):
     """Core image of each ambient generator of colim_n under the face (i,
-    kind), as a sparse row of (core position, coefficient) pairs.
+    kind), as a sparse row: a dict core position -> coefficient.
 
     ``faces`` is the degree-n face table of ``_close_under_faces``.
     ``colim_n.gens`` is grouped by node, so each node's divisor map is
     built once, against its target fan, and dropped when the next node
     starts.  Each generator's unit class is restricted, and the reduced
-    image is composed with the core images of the target node's
-    generators."""
+    image, placed at the target node's generators, is pushed to the core
+    by ``Presentation.to_core_sparse``."""
     nodes = colim_n.diagram.nodes
     prev = colim_prev.diagram.nodes
-    core_image = colim_prev.presentation.image
+    to_core = colim_prev.presentation.to_core_sparse
     images = []
     current = None
     for (node_idx, _), cls in zip(colim_n.gens, colim_n.units):
@@ -233,12 +224,8 @@ def _face_matrix(
                     restrict_slice, fan, i - 1,
                     divisor_of=slice_divisors(fan, i - 1, face),
                 )
-        acc = {}
-        for k, x in enumerate(restrict(cls).coords):
-            if x:
-                for pos, v in core_image(start + k):
-                    acc[pos] = acc.get(pos, 0) + x * v
-        images.append([(pos, v) for pos, v in acc.items() if v])
+        coords = restrict(cls).coords
+        images.append(to_core({start + k: x for k, x in enumerate(coords) if x}))
     return images
 
 
@@ -256,7 +243,7 @@ def _assert_descends(colim_n: ColimitGroup, images, colim_prev: ColimitGroup):
     for relation in relations:
         acc = {}
         for g, v in relation.items():
-            for k, x in images[g]:
+            for k, x in images[g].items():
                 c = core_cols[k]
                 acc[c] = acc.get(c, 0) + v * x
         if not target.is_zero(acc):
@@ -302,7 +289,8 @@ def build_complex(
                 images = _face_matrix(colimits[n], colimits[n - 1], faces[n], i, kind)
                 _assert_descends(colimits[n], images, colimits[n - 1])
                 face_maps[kind][(n, i)] = [
-                    _dense(images[g], sizes[n - 1]) for g in colimits[n].presentation.core_cols
+                    [images[g].get(k, 0) for k in range(sizes[n - 1])]
+                    for g in colimits[n].presentation.core_cols
                 ]
 
     # chain groups: the intersection of the zero-face kernels, inside the
@@ -370,14 +358,6 @@ def _check_square_zero(cx: NormalizedComplex):
             dd = _apply(cx.differentials[n - 1], col, len(cx.chain_bases[n - 2]))
             if not pres.is_zero(cx.sparse_of_chain(n - 2, dd)):
                 raise ComplexError("differential does not square to zero")
-
-
-def _dense(row, dim):
-    """The sparse (position, coefficient) row as a vector of length ``dim``."""
-    out = [0] * dim
-    for k, v in row:
-        out[k] = v
-    return out
 
 
 def _apply(columns, coeffs, dim):

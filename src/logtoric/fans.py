@@ -68,6 +68,7 @@ class Fan:
     maximal_cones: tuple  # tuple of sorted tuples of ray indices
 
     _hash = None  # no annotation, so not a field: set by the first hash
+    _certified = None  # likewise: set by the first _certified_complete
 
     def __hash__(self):
         # the dataclass hash, computed once per object: the memos keyed by
@@ -258,6 +259,17 @@ def _dual_basis(rows):
 
 
 def _certified_complete(fan: Fan) -> bool:
+    """``_facet_certificate(fan)``, kept on the fan object: ``Fan.validate``
+    and ``is_complete`` both ask, and the answer is computed once per
+    fan."""
+    known = fan._certified
+    if known is None:
+        known = _facet_certificate(fan)
+        object.__setattr__(fan, "_certified", known)
+    return known
+
+
+def _facet_certificate(fan: Fan) -> bool:
     """Is ``fan`` a complete fan, certified from the kernel table?  True
     when the rank is at least 2, every maximal cone is unimodular of full
     dimension (``_unimodular_inverses``), and (a) every facet (a cone's
@@ -360,7 +372,8 @@ def is_complete(fan: Fan) -> bool:
     """Support equals the whole ambient space.
 
     ``_certified_complete`` is tried first: it only ever accepts, and its
-    proof covers any input.  Otherwise checked by facet pairing: nonempty
+    proof covers any input.  A fan that ``Fan.validate`` checked has its
+    answer already.  Otherwise checked by facet pairing: nonempty
     fan, all maximal cones of full dimension, and every facet of a
     maximal cone lies in exactly two maximal cones.  A facet lies in a
     cone when each of its rays does; each (cone, ray) membership is

@@ -18,6 +18,7 @@ from logtoric.chow import (
     ray_class,
     restrict_slice,
     restrict_star,
+    restrict_to_star_quotient,
     scale,
     slice_divisors,
     unit_class,
@@ -29,6 +30,7 @@ from logtoric.fans import (
     hyperplane_slice,
     p1_power,
     standard_fan,
+    star_quotient,
     star_subdivide,
 )
 
@@ -188,6 +190,19 @@ def test_restrict_star_square():
     mc = SQ.maximal_cones[0]
     killed = restrict_star(SQ, mc, ray_class(SQ, 0))
     assert killed.is_zero()
+
+
+def test_restrict_to_star_quotient_rejects_a_lift_outside_the_star():
+    e1 = SQ.ray_index((1, 0))
+    quotient, corr = star_quotient(SQ, (e1,))
+    lift = {v: k for k, v in corr.items()}
+    cls = ray_class(SQ, SQ.ray_index((0, 1)))
+    assert not restrict_to_star_quotient(SQ, (e1,), quotient, lift, cls).is_zero()
+    # -e1 projects onto the quotient's origin and shares no cone with e1
+    bad = dict(lift)
+    bad[0] = SQ.ray_index((-1, 0))
+    with pytest.raises(ChowError, match="outside the star"):
+        restrict_to_star_quotient(SQ, (e1,), quotient, bad, cls)
 
 
 def test_restrict_slice_square():
