@@ -181,7 +181,11 @@ class Presentation:
         return {i: v for i, v in out.items() if v}
 
     def normal_form(self, vec):
-        return self._basis.reduce(self.to_core(vec))
+        return self.reduce_core(self.to_core(vec))
+
+    def reduce_core(self, core_vec):
+        """The normal form of a vector already in core coordinates."""
+        return self._basis.reduce(core_vec)
 
     def is_zero(self, vec) -> bool:
         return not any(self.normal_form(vec))

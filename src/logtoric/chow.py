@@ -272,12 +272,15 @@ class DivisorMap:
     ``image(cone)`` is the unreduced product of the images of the cone's
     rays.  It is formed on first use and kept by the map, so an edge or a
     face forms each generator's image once, however many classes it maps.
+    ``map_divisors`` likewise keeps, per (source fan, degree), what it
+    reads of the two presentations.
     """
 
     def __init__(self, target: Fan, divisor_of):
         self.target = target
         self.divisor_of = divisor_of
         self._images = {}
+        self._presentations = {}
 
     def image(self, cone):
         """Nonzero (target generator index, coefficient) pairs."""
@@ -291,18 +294,24 @@ class DivisorMap:
 def map_divisors(cls: ChowClass, divisors: DivisorMap) -> ChowClass:
     """Image of ``cls`` under the ring map ``divisors``: each generator
     cone becomes the product of the images of its rays.  The images are
-    summed unreduced and the sum is reduced once, through the target
-    presentation looked up once; the map is well defined on classes, so
-    the normal form does not depend on the representatives."""
-    target = divisors.target
-    gens, _, _ = presentation_data(cls.fan, cls.q)
-    out_gens, _, basis = presentation_data(target, cls.q)
-    acc = [0] * len(out_gens)
+    summed unreduced and the sum is reduced once; the map is well defined
+    on classes, so the normal form does not depend on the
+    representatives.  The source generators, the target length and the
+    target's Hermite basis are looked up once per map and degree, and
+    kept on ``divisors`` keyed by (source fan, degree)."""
+    key = (cls.fan, cls.q)
+    found = divisors._presentations.get(key)
+    if found is None:
+        gens = presentation_data(cls.fan, cls.q)[0]
+        out_gens, _, basis = presentation_data(divisors.target, cls.q)
+        found = divisors._presentations[key] = (gens, len(out_gens), basis)
+    gens, width, basis = found
+    acc = [0] * width
     for cone, c in zip(gens, cls.coords):
         if c:
             for k, x in divisors.image(cone):
                 acc[k] += c * x
-    return ChowClass(target, cls.q, basis.reduce(acc))
+    return ChowClass(divisors.target, cls.q, basis.reduce(acc))
 
 
 def _support_character(fan: Fan, sigma, rho):
@@ -383,9 +392,9 @@ def star_quotient_divisors(fan: Fan, tau, quotient: Fan, lift):
     quotient ray is then minus the descended value at the lift,
     ``<m0, u_up> - psi(u_up)``.  The lift is a ray of the fan, where psi
     is -delta, so only m0 is solved for, and it is zero unless rho is a
-    ray of that cone.  That is the descended value only for a lift in
-    the star of tau, so each lift is checked to share a maximal cone
-    with tau.
+    ray of that cone, when the coefficients are the indicator ``[up ==
+    rho]``.  That is the descended value only for a lift in the star of
+    tau, so each lift is checked to share a maximal cone with tau.
     """
     _check_smooth_complete(fan)
     _check_smooth_complete(quotient)
@@ -398,6 +407,8 @@ def star_quotient_divisors(fan: Fan, tau, quotient: Fan, lift):
 
     @cache
     def divisor_of(rho):
+        if rho not in base_cone:
+            return tuple(int(up == rho) for up in lifts)
         m0 = _support_character(fan, base_cone, rho)
         return tuple(int(up == rho) + dot(m0, fan.rays[up]) for up in lifts)
 

@@ -30,7 +30,6 @@ use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 
 from .abelian import Presentation, kernel_mod_lattice
@@ -215,16 +214,14 @@ def _face_matrix(
             start = colim_prev.starts[target]
             face = prev[target].fan
             if kind == 0:
-                restrict = partial(
-                    restrict_to_star_quotient, fan, (ray,), face, lift,
-                    divisor_of=star_quotient_divisors(fan, (ray,), face, lift),
-                )
+                divisor_of = star_quotient_divisors(fan, (ray,), face, lift)
             else:
-                restrict = partial(
-                    restrict_slice, fan, i - 1,
-                    divisor_of=slice_divisors(fan, i - 1, face),
-                )
-        coords = restrict(cls).coords
+                divisor_of = slice_divisors(fan, i - 1, face)
+        if kind == 0:
+            image = restrict_to_star_quotient(fan, (ray,), face, lift, cls, divisor_of)
+        else:
+            image = restrict_slice(fan, i - 1, cls, divisor_of)
+        coords = image.coords
         images.append(to_core({start + k: x for k, x in enumerate(coords) if x}))
     return images
 
@@ -232,21 +229,22 @@ def _face_matrix(
 def _assert_descends(colim_n: ColimitGroup, images, colim_prev: ColimitGroup):
     """Every relation of colim_n maps to zero downstairs: each elimination,
     written as e_c - expr, then each core row.  ``images`` are the sparse
-    rows of ``_face_matrix``."""
+    rows of ``_face_matrix``, in the target's core positions, so each
+    relation's image is summed there and reduced once against the
+    target's relation lattice."""
     pres = colim_n.presentation
     target = colim_prev.presentation
     relations = chain(
         ({c: 1} | {c2: -v for c2, v in expr.items()} for c, expr in pres.eliminations),
         ({g: v for g, v in zip(pres.core_cols, row) if v} for row in pres.core_rows),
     )
-    core_cols = target.core_cols
+    width = len(target.core_cols)
     for relation in relations:
-        acc = {}
+        acc = [0] * width
         for g, v in relation.items():
             for k, x in images[g].items():
-                c = core_cols[k]
-                acc[c] = acc.get(c, 0) + v * x
-        if not target.is_zero(acc):
+                acc[k] += v * x
+        if any(target.reduce_core(acc)):
             raise ComplexError("face map does not descend to the colimit")
 
 

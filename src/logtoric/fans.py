@@ -11,8 +11,9 @@ preserving a chosen common cone).
 Smooth kernel: when every maximal cone lists ``rank`` rays with a
 unimodular ray matrix (every blow-up node fan does), the fan keeps one
 integer inverse per maximal cone (``_unimodular_inverses``; the bounded
-``_dual_basis`` memo factors each distinct cone once, however many fans
-share it).  Membership is then the sign of the coordinates under that
+``_dual_basis`` memo inverts each distinct cone once, however many fans
+share it, reading the inverse off the reduced Hermite form of ``[A |
+I]``).  Membership is then the sign of the coordinates under that
 inverse, faces are the subsets of the maximal cones, hyperplane slices
 are the maximal meets of the maximal cones with the hyperplane's rays,
 and a star subdivision at a face is the combinatorial split
@@ -49,6 +50,7 @@ from operator import and_, index, mul
 from .cones import Cone, dot, saturated_span_basis
 from .intlinalg import (
     IntMatrix,
+    _echelon,
     det,
     kernel_basis,
     primitive,
@@ -227,7 +229,8 @@ def _unimodular_inverses(fan: Fan):
     ``rank`` rays with a unimodular ray matrix.  A point lies in the cone
     exactly when every ``w_k . x >= 0``: the dual rays of a
     full-dimensional simplicial cone are positive multiples of the
-    ``w_k``.
+    ``w_k``.  Each inverse is ``_dual_basis`` of the cone's ray rows, so
+    no Smith form is taken.
     """
     n = fan.rank
     if n == 0 or not fan.maximal_cones:
@@ -247,15 +250,19 @@ def _unimodular_inverses(fan: Fan):
 @lru_cache(maxsize=4096)
 def _dual_basis(rows):
     """Columns of the inverse of the square matrix with rows ``rows``, or
-    None unless it is unimodular.  The fans of one blow-up tower share
-    most of their cones, so each distinct cone is factored once.
+    None unless |det| = 1.  The fans of one blow-up tower share most of
+    their cones, so each distinct cone is inverted once.
 
-    With ``D = U A V = I`` the Smith form of ``A``, ``A^-1 = V U``.
+    The reduced Hermite form of ``[A | I]`` is ``[H | U]`` with ``H = U
+    A``.  ``H`` is upper triangular with positive pivots, and its
+    diagonal multiplies to |det A|; so A is unimodular exactly when every
+    pivot is 1, and then the reduced ``H`` is ``I`` and ``U = A^-1``.
     """
-    d, u, v = smith_normal_form(IntMatrix.from_rows(rows))
-    if any(x != 1 for x in d.diagonal()):
+    n = len(rows)
+    h = [list(r) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)]
+    if len(_echelon(h, n)[0]) < n or any(h[i][i] != 1 for i in range(n)):
         return None
-    return tuple(zip(*(v @ u).entries))
+    return tuple(zip(*(r[n:] for r in h)))
 
 
 def _certified_complete(fan: Fan) -> bool:
@@ -670,14 +677,24 @@ def subdivision_witness(source: Fan, target: Fan):
 
     A target cone contains a source cone when it holds each of its rays;
     each (target cone, source ray) membership is tested once, not once
-    per source cone through the ray."""
+    per source cone through the ray.  In a fan, the ray u_j lies in a
+    simplicial maximal cone exactly when j is one of its indices.  So
+    when ``_certified_complete(target)`` vouches that the target is a
+    fan, a source ray that is a target ray takes its holders from the
+    cones' index sets, and only the other rays are located."""
     if source.rank != target.rank:
         return None
     holders = _holders(target)
+    known = {}  # target ray -> its holder mask, when read off the indices
+    if _certified_complete(target):
+        for c, mc in enumerate(target.maximal_cones):
+            for j in mc:
+                known[target.rays[j]] = known.get(target.rays[j], 0) | 1 << c
     every = (1 << len(target.maximal_cones)) - 1
     witness = []
     for mc in source.maximal_cones:
-        mask = reduce(and_, (holders(source.rays[k]) for k in mc), every)
+        rays = (source.rays[k] for k in mc)
+        mask = reduce(and_, (known.get(u) or holders(u) for u in rays), every)
         if not mask:
             return None
         witness.append((mask & -mask).bit_length() - 1)  # the first container
@@ -1097,9 +1114,8 @@ def hyperplane_slice(fan: Fan, coord: int) -> Fan:
         sliced = {tuple(i for i in mc if i in keep) for mc in fan.maximal_cones}
     else:
         sliced = [idx for idx in fan.all_cone_indices() if set(idx) <= keep]
-    maximal = [
-        c for c in sliced if not any(set(c) < set(d) for d in sliced)
-    ]
+    sets = [(c, set(c)) for c in sliced]
+    maximal = [c for c, s in sets if not any(s < t for _, t in sets)]
 
     def drop(vec):
         return tuple(x for i, x in enumerate(vec) if i != coord)

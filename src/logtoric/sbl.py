@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 from .fans import (
     Fan,
@@ -126,7 +128,13 @@ class CnrDiagram:
         self._index = {node.fan: i for i, node in enumerate(self.nodes)}
 
     def node_index(self, fan: Fan):
-        return self._index.get(fan.canonical())
+        """Index of the node with this fan, up to canonical form, or None.
+        The keys are canonical, so a fan found as given is canonical; only
+        a miss canonicalizes."""
+        idx = self._index.get(fan)
+        if idx is None:
+            idx = self._index.get(fan.canonical())
+        return idx
 
     def add_node(self, node: CnrNode):
         """Append a node (its fan canonical and new to the diagram)."""
@@ -135,24 +143,57 @@ class CnrDiagram:
 
     def refinement_edges(self):
         """(i, j) pairs with node i refining node j, as a generating set
-        (transitive reduction of the refinement relation)."""
-        full = set(self.parent_edges)
+        (transitive reduction of the refinement relation).
+
+        Node sets are bit masks (bit i for node i).  A parent edge is a
+        star subdivision, so every pair in the transitive closure of the
+        parent edges is a refinement; the closure is formed in order of
+        ray count (a star subdivision adds a ray), with no witness.  Node
+        i can refine node j only if rays(j) ⊆ rays(i), so the candidates
+        for j are the intersection of the node sets that hold j's rays,
+        rarest ray first; only a candidate outside the closure is tested
+        by ``subdivision_witness``.  The refinement relation is
+        transitively closed, so its reduction drops (i, j) exactly when j
+        lies below another successor of i.
+        """
         nodes = self.nodes
-        rays = [set(node.fan.rays) for node in nodes]
-        for i in range(len(nodes)):
-            for j in range(len(nodes)):
-                if i == j or (i, j) in full:
-                    continue
-                if rays[j] <= rays[i]:
-                    if subdivision_witness(nodes[i].fan, nodes[j].fan) is not None:
-                        full.add((i, j))
-        reduced = set(full)
-        for (i, j) in sorted(full):
-            for k in range(len(nodes)):
-                if k != i and k != j and (i, k) in reduced and (k, j) in full:
-                    reduced.discard((i, j))
-                    break
-        return sorted(reduced)
+        parents = [[] for _ in nodes]
+        for child, parent in self.parent_edges:
+            parents[child].append(parent)
+        # above[i]: the nodes that node i refines
+        above = [0] * len(nodes)
+        for i in sorted(range(len(nodes)), key=lambda i: len(nodes[i].fan.rays)):
+            for p in parents[i]:
+                above[i] |= above[p] | 1 << p
+        holding = {}
+        for i, node in enumerate(nodes):
+            for ray in node.fan.rays:
+                holding[ray] = holding.get(ray, 0) | 1 << i
+        every = (1 << len(nodes)) - 1
+        for j, node in enumerate(nodes):
+            bit = 1 << j
+            masks = sorted((holding[ray] for ray in node.fan.rays), key=int.bit_count)
+            candidates = reduce(and_, masks, every) & ~bit
+            for i in _bits(candidates):
+                if not above[i] & bit and (
+                    subdivision_witness(nodes[i].fan, node.fan) is not None
+                ):
+                    above[i] |= bit
+        edges = []
+        for i, up in enumerate(above):
+            below_others = 0
+            for k in _bits(up):
+                below_others |= above[k]
+            edges.extend((i, j) for j in _bits(up & ~below_others))
+        return edges
+
+
+def _bits(mask: int):
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def allowed_centers(fan: Fan, n: int, r: int):
@@ -245,33 +286,28 @@ def face_zero_data(fan: Fan, n: int, r: int, i: int):
     def drop(vec):
         return tuple(x for k, x in enumerate(vec) if k != coord)
 
-    star_cones = []
-    rays = []
-    lift_of = {}
-    for mc in fan.maximal_cones:
-        if ray not in mc:
-            continue
-        image = []
+    star = [mc for mc in fan.maximal_cones if ray in mc]
+    rays, lifts = [], []  # quotient rays in order of first appearance
+    index = {}  # quotient ray -> its position in rays
+    place = {}  # star ray index -> position of its image, derived once
+    for mc in star:
         for j in mc:
-            if j == ray:
+            if j == ray or j in place:
                 continue
             v = drop(fan.rays[j])
             if not any(v):
                 raise SblError("face left diagram: degenerate image ray")
             v = primitive(v)
-            if v not in rays:
+            if v not in index:
+                index[v] = len(rays)
                 rays.append(v)
-                lift_of[v] = j
-            image.append(rays.index(v))
-        star_cones.append(tuple(sorted(image)))
-    order = sorted(range(len(rays)), key=lambda k: rays[k])
+                lifts.append(j)
+            place[j] = index[v]
+    order = sorted(range(len(rays)), key=rays.__getitem__)
     remap = {old: new for new, old in enumerate(order)}
-    fan_out = Fan.make(
-        fan.rank - 1,
-        [rays[k] for k in order],
-        sorted(tuple(sorted(remap[j] for j in c)) for c in set(star_cones)),
-    )
-    return fan_out, tuple(lift_of[rays[k]] for k in order), ray
+    cones = {tuple(sorted(remap[place[j]] for j in mc if j != ray)) for mc in star}
+    fan_out = Fan.make(fan.rank - 1, [rays[k] for k in order], sorted(cones))
+    return fan_out, tuple(lifts[k] for k in order), ray
 
 
 def face_zero(node: CnrNode, i: int) -> CnrNode:

@@ -5,6 +5,7 @@ report.  Heavy cubical builds run under explicit node budgets; truncated
 diagrams are reported as such and every exactness check stays exact.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -343,3 +344,20 @@ def test_criterion_9_realization_goldens(tmp_path):
         assert len(pab["generators"]) == len(pa["generators"]) + len(pb["generators"])
         assert len(pab["relations"]) == len(pa["relations"]) + len(pb["relations"])
     report(9, "realization goldens and smash compatibility")
+
+
+def test_reach_untruncated_logchow_golden(monkeypatch, capsys):
+    """Untruncated ``logchow --q 1 --r 1 --nmax 2 --depth 3`` is byte for
+    byte the recorded output.  Its degree-2 diagram has 1,671 nodes and
+    2,698 refinement edges, so it guards the refinement pass at a size
+    the budgeted rows do not reach."""
+    from logtoric.cli import main
+
+    monkeypatch.setenv("LOGTORIC_NODE_BUDGET", "100000")
+    assert main(["logchow", "--q", "1", "--r", "1", "--nmax", "2", "--depth", "3"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["diagram_nodes"][2] == 1671
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "6b5effc8e946019a18f8a54a048ed0eea8e86e694bc7710abebc0a1babb079d0"
+    )

@@ -16,6 +16,7 @@ from logtoric.chow import (
 from logtoric.complexes import (
     ComplexError,
     NormalizedComplex,
+    _assert_descends,
     _close_under_faces,
     _face_matrix,
     build_colimit,
@@ -394,6 +395,26 @@ def _restrict_star_on(quotient, lift, fan, ray, cls):
             if c
         },
     )
+
+
+def test_assert_descends_rejects_a_face_map_that_breaks_a_relation():
+    diagrams = [enumerate_cnr(m, 0, 1) for m in range(3)]
+    faces = _close_under_faces(diagrams)[2]
+    colim, colim_prev = build_colimit(diagrams[2], 1), build_colimit(diagrams[1], 1)
+    target = colim_prev.presentation
+    size = len(target.core_cols)
+    # a core position whose unit vector is not in the relation lattice
+    k = next(k for k in range(size) if any(target.reduce_core([int(j == k) for j in range(size)])))
+    c, _ = colim.presentation.eliminations[0]
+    for i in (1, 2):
+        for kind in (0, 1):
+            rows = _face_matrix(colim, colim_prev, faces, i, kind)
+            _assert_descends(colim, rows, colim_prev)
+            # move the image of an eliminated generator off its relation
+            broken = list(rows)
+            broken[c] = rows[c] | {k: rows[c].get(k, 0) + 1}
+            with pytest.raises(ComplexError, match="does not descend"):
+                _assert_descends(colim, broken, colim_prev)
 
 
 @pytest.mark.parametrize("n, r, depth", [(2, 0, 1), (2, 1, 1)])

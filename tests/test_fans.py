@@ -44,7 +44,8 @@ from logtoric.fans import (
     subdivision_witness,
     support_equal,
 )
-from logtoric.intlinalg import IntMatrix, det, primitive
+from logtoric.intlinalg import IntMatrix, det, primitive, smith_normal_form
+from logtoric.sbl import enumerate_cnr
 
 
 def fan2(*ray_cones):
@@ -728,6 +729,76 @@ def test_cones_shared_by_two_fans_share_their_dual_basis():
         i, j = fan.maximal_cones.index(mc), bigger.maximal_cones.index(mc)
         assert big[j] is small[i]
     assert _dual_basis.cache_info().maxsize is not None
+
+
+def _dual_basis_by_smith(rows):
+    """``_dual_basis`` as first written: with ``D = U A V`` the Smith form
+    of ``A``, ``A^-1 = V U`` when ``D = I``, and None otherwise."""
+    d, u, v = smith_normal_form(IntMatrix.from_rows(rows))
+    if any(x != 1 for x in d.diagonal()):
+        return None
+    return tuple(zip(*(v @ u).entries))
+
+
+def _seeded_square_matrices(rng, count):
+    """Square integer matrices of size 1..4, in turn: unimodular (a signed
+    permutation after random row additions), small random entries (mostly
+    neither unimodular nor singular), and singular (the last row a
+    combination of the others)."""
+    out = []
+    for k in range(count):
+        n = rng.randint(1, 4)
+        if k % 3 == 0:
+            perm = rng.sample(range(n), n)
+            rows = [[rng.choice((-1, 1)) * int(j == perm[i]) for j in range(n)] for i in range(n)]
+            for _ in range(rng.randint(0, 6) if n > 1 else 0):
+                a, b = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 2:
+                rows[-1] = [sum(rng.randint(-2, 2) * r[j] for r in rows[:-1]) for j in range(n)]
+        out.append(tuple(map(tuple, rows)))
+    return out
+
+
+def test_dual_basis_matches_the_smith_form():
+    node_cones = {
+        tuple(node.fan.rays[i] for i in mc)
+        for node in enumerate_cnr(3, 0, 2).nodes
+        for mc in node.fan.maximal_cones
+    }
+    matrices = sorted(node_cones) + _seeded_square_matrices(random.Random(2222), 600)
+    kinds = {"unimodular": 0, "singular": 0, "other": 0}
+    for rows in matrices:
+        got = _dual_basis.__wrapped__(rows)  # computed here, not from the memo
+        assert got == _dual_basis_by_smith(rows), rows
+        d = det(IntMatrix.from_rows(rows))
+        assert (got is not None) == (abs(d) == 1)
+        kinds["unimodular" if abs(d) == 1 else "singular" if d == 0 else "other"] += 1
+    assert len(node_cones) > 400
+    assert min(kinds.values()) > 50, kinds
+
+
+def test_subdivision_witness_matches_scan_on_targets_sharing_rays():
+    # the holders of a source ray that is a target ray come from the cone
+    # indices only when the target is certified complete: an incomplete
+    # target and an unvalidated overlapping one locate every ray, and
+    # there (1, 1) lies in cones that do not list it
+    rng = random.Random(818)
+    shared = Fan.make(2, [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)])
+    cases = [(shared, OVERLAPPING), (shared, INCOMPLETE_FANS[-1])]
+    for target in COMPLETE_FANS + INCOMPLETE_FANS[:-1]:
+        if target.rank >= 2:
+            cases.append((_random_tower(rng, target, 2), target))
+        cases.append((target, target))
+    certified = 0
+    for source, target in cases:
+        certified += _certified_complete(target)
+        assert subdivision_witness(source, target) == _witness_by_scan(source, target)
+    assert not _certified_complete(OVERLAPPING)
+    assert 0 < certified < len(cases)
 
 
 def test_product_validates_its_factors():

@@ -1,4 +1,11 @@
-from logtoric.fans import is_smooth, standard_fan, star_subdivide, subdivision_witness
+from logtoric import sbl
+from logtoric.fans import (
+    Fan,
+    is_smooth,
+    standard_fan,
+    star_subdivide,
+    subdivision_witness,
+)
 from logtoric.sbl import (
     CnrNode,
     allowed_centers,
@@ -172,6 +179,113 @@ def test_refinement_edges():
             for k in range(len(nodes))
             if k not in (i, j)
         )
+
+
+def _refinement_edges_by_scan(diagram):
+    """``CnrDiagram.refinement_edges`` as first written: every ordered node
+    pair with the rays of the second among the first is tested by
+    ``subdivision_witness``, and the reduction scans every node."""
+    full = set(diagram.parent_edges)
+    nodes = diagram.nodes
+    rays = [set(node.fan.rays) for node in nodes]
+    for i in range(len(nodes)):
+        for j in range(len(nodes)):
+            if i == j or (i, j) in full:
+                continue
+            if rays[j] <= rays[i]:
+                if subdivision_witness(nodes[i].fan, nodes[j].fan) is not None:
+                    full.add((i, j))
+    reduced = set(full)
+    for (i, j) in sorted(full):
+        for k in range(len(nodes)):
+            if k != i and k != j and (i, k) in reduced and (k, j) in full:
+                reduced.discard((i, j))
+                break
+    return sorted(reduced)
+
+
+def _parent_closure(diagram):
+    """The transitive closure of the parent edges, by repeated joining."""
+    closure = set(diagram.parent_edges)
+    while True:
+        more = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+        if not more:
+            return closure
+        closure |= more
+
+
+def _diagram_with_orphans():
+    """The depth-1 diagram of (2, 0) with the depth-2 nodes appended by
+    ``add_node``: they have no parent edge, so every pair that involves
+    them is found by a witness."""
+    full = enumerate_cnr(2, 0, 2)
+    diag = enumerate_cnr(2, 0, 1)
+    for node in full.nodes:
+        if diag.node_index(node.fan) is None:
+            diag.add_node(node)
+    assert len(diag.nodes) == len(full.nodes) > 4
+    assert all(i < 4 for i, _ in diag.parent_edges)
+    return diag
+
+
+def _refinement_diagrams():
+    for args in ((2, 0, 2), (2, 1, 2), (3, 0, 2), (2, 0, 3), (1, 1, 3)):
+        for reverse in (False, True):
+            for budget in (9, 100000):
+                diag = enumerate_cnr(*args, budget=budget, reverse_order=reverse)
+                assert diag.truncated == (budget == 9)
+                yield diag
+    yield _diagram_with_orphans()
+
+
+def test_refinement_edges_match_the_pairwise_scan(monkeypatch):
+    # every witness the pass asks for is a pair sharing the rays that the
+    # closure of the parent edges does not already give
+    asked = []
+
+    def witness(source, target):
+        asked.append((source, target))
+        return subdivision_witness(source, target)
+
+    outcomes = []
+    for diag in _refinement_diagrams():
+        want = _refinement_edges_by_scan(diag)
+        asked.clear()
+        monkeypatch.setattr(sbl, "subdivision_witness", witness)
+        got = diag.refinement_edges()
+        monkeypatch.undo()
+        assert got == want
+        closure = _parent_closure(diag)
+        index = {node.fan: k for k, node in enumerate(diag.nodes)}
+        pairs = [(index[source], index[target]) for source, target in asked]
+        assert len(set(pairs)) == len(pairs)
+        for i, j in pairs:
+            assert (i, j) not in closure
+            assert set(diag.nodes[j].fan.rays) <= set(diag.nodes[i].fan.rays)
+        outcomes += [subdivision_witness(s, t) is not None for s, t in asked]
+    # the witnesses both add refinements (the orphans') and refute pairs
+    # that share the rays and do not refine
+    assert any(outcomes) and not all(outcomes)
+
+
+def _reversed_rays(fan):
+    """``fan`` with its rays listed in reverse order: canonically equal to
+    ``fan``, and not canonical itself."""
+    n = len(fan.rays)
+    cones = [tuple(n - 1 - i for i in mc) for mc in fan.maximal_cones]
+    return Fan.make(fan.rank, fan.rays[::-1], cones)
+
+
+def test_node_index_up_to_canonical_form():
+    diag = enumerate_cnr(2, 0, 1)
+    for k, node in enumerate(diag.nodes):
+        shuffled = _reversed_rays(node.fan)
+        assert shuffled != node.fan and shuffled.canonical() == node.fan
+        assert diag.node_index(node.fan) == diag.node_index(shuffled) == k
+    # a depth-2 node is no node of the depth-1 diagram, as given or not
+    deeper = enumerate_cnr(2, 0, 2).nodes[-1].fan
+    for fan in (deeper, _reversed_rays(deeper), standard_fan("P^n", 2)):
+        assert diag.node_index(fan) is None
 
 
 def test_at_most_one_morphism():
