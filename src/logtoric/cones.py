@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from operator import index
 
 from .intlinalg import IntMatrix, kernel_basis, primitive, rank, smith_normal_form
@@ -194,7 +194,12 @@ class Cone:
 
     def multiplicity(self) -> int:
         """Index of the subgroup spanned by the rays in its saturation (simplicial only)."""
-        return _cone_multiplicity(self)
+        if not self.rays:
+            return 1
+        if not self.is_simplicial():
+            raise ValueError("multiplicity needs a simplicial cone")
+        d, _, _ = smith_normal_form(IntMatrix.from_rows(self.rays))
+        return prod(d.diagonal())
 
     def dual(self):
         """(lines, rays) generating the dual cone."""
@@ -284,19 +289,6 @@ def _cone_dim(cone: Cone) -> int:
     if not cone.rays:
         return 0
     return rank(IntMatrix.from_rows(cone.rays))
-
-
-@lru_cache(maxsize=4096)
-def _cone_multiplicity(cone: Cone) -> int:
-    if not cone.rays:
-        return 1
-    if not cone.is_simplicial():
-        raise ValueError("multiplicity needs a simplicial cone")
-    d, _, _ = smith_normal_form(IntMatrix.from_rows(cone.rays))
-    m = 1
-    for x in d.diagonal():
-        m *= x
-    return m
 
 
 @lru_cache(maxsize=None)

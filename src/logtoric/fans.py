@@ -36,6 +36,13 @@ with the maximal cones only (the faces follow), which ``refine`` builds
 once per fan, and ``cones`` memoizes each meet.  ``product`` and
 ``insert_p1_coordinate`` build fans by construction, so they validate
 their inputs, not their output.
+
+A ray of a fan that lies in one of its cones is one of that cone's rays,
+so a cone of a fan is named by the sorted indices of its rays:
+``Fan.is_cone`` looks an index set up among the fan's faces, and
+``star_quotient`` keeps the image of every maximal cone through sigma,
+since none holds another.  ``Fan.find_cone`` keeps its double
+description for a cone given by its rays, as lookups in another fan need.
 """
 
 from __future__ import annotations
@@ -177,8 +184,13 @@ class Fan:
         cones, dims = _fan_all_cone_indices(self)
         return [c for c, dim in zip(cones, dims) if dim == d]
 
+    def is_cone(self, indices) -> bool:
+        """Is the sorted ray-index tuple ``indices`` a cone of this fan?"""
+        return tuple(indices) in _fan_all_cone_indices(self)[0]
+
     def find_cone(self, cone: Cone):
-        """Ray-index tuple of ``cone`` if it is a cone of this fan."""
+        """Ray-index tuple of ``cone`` if it is a cone of this fan; for a
+        cone given by rays, possibly of another fan."""
         for mc in self.maximal_cones:
             big = self.cone(mc)
             if big.contains_cone(cone) and big.has_face(cone):
@@ -477,33 +489,13 @@ def star_subdivide_at_point(fan: Fan, point) -> tuple:
                 continue
             piece = sorted(ray_of[r] for r in facet.rays) + [v_idx]
             pieces.append(tuple(sorted(piece)))
-        if not pieces:
-            # big is the ray `point` itself
-            new_max.append(tuple(mc))
-            continue
+        # a nonzero point of a strongly convex cone misses some facet
         new_max.extend(pieces)
     # pieces are full-dimensional inside their parents, so no containments
     # can arise between the new maximal cones; dedup is enough
     new_max = sorted(set(new_max))
     out = Fan.make(fan.rank, rays, new_max, validate=False)
     return out, step
-
-
-def _prune_nonmaximal(fan: Fan) -> Fan:
-    cones = fan.maximal()
-    keep = []
-    for i, c in enumerate(cones):
-        if not any(j != i for j in range(len(cones)) if cones[j].contains_cone(c) and cones[j] != c):
-            keep.append(fan.maximal_cones[i])
-    keep = sorted(set(keep))
-    used = sorted({i for c in keep for i in c})
-    remap = {old: new for new, old in enumerate(used)}
-    return Fan.make(
-        fan.rank,
-        [fan.rays[i] for i in used],
-        [tuple(remap[i] for i in c) for c in keep],
-        validate=False,
-    )
 
 
 def _star_subdivide_unimodular(fan: Fan, center, table):
@@ -580,13 +572,11 @@ def star_subdivide(fan: Fan, center) -> tuple:
         out = _star_subdivide_unimodular(fan, center, table)
         if out is not None:
             return out
-    try:
-        cone = fan.cone(center)
-    except ValueError as exc:
-        raise FanError(f"center {center} is not a cone of the fan: {exc}") from exc
-    if cone.dim < 2:
+    # fewer than two rays span a cone of dimension < 2; a cone of a fan
+    # with two or more rays has dimension >= 2
+    if len(set(center)) < 2:
         raise FanError("star subdivision center must have dimension >= 2")
-    if fan.find_cone(cone) != center:
+    if not fan.is_cone(center):
         raise FanError(f"center {center} is not a cone of the fan")
     total = tuple(sum(fan.rays[i][k] for i in center) for k in range(fan.rank))
     return star_subdivide_at_point(fan, primitive(total))
@@ -1008,8 +998,9 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
         raise FanError("refine requires a smooth first fan")
     if not support_equal(sigma, delta):
         raise FanError("refine requires equal supports")
-    eta = sigma.cone(tuple(eta_indices))
-    if sigma.find_cone(eta) is None or delta.find_cone(eta) is None:
+    eta_indices = tuple(sorted(set(eta_indices)))
+    eta = sigma.cone(eta_indices) if sigma.is_cone(eta_indices) else None
+    if eta is None or delta.find_cone(eta) is None:
         raise FanError("eta must be a common cone of both fans")
 
     steps = []
@@ -1041,7 +1032,8 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
             cones = fan.maximal()
         if crosses(tau, fan, cones):
             raise FanError("refinement failed to clear a crossing cone")
-    if fan.find_cone(eta) is None:
+    # a step only appends a ray, so eta keeps its indices
+    if not fan.is_cone(eta_indices):
         raise FanError("refinement lost eta")
     return fan, steps
 
@@ -1051,14 +1043,22 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
 
 def star_quotient(fan: Fan, sigma_indices) -> tuple:
     """The fan V(sigma) in the quotient lattice, with the ray
-    correspondence {fan ray index -> quotient ray index}."""
+    correspondence {fan ray index -> quotient ray index}.
+
+    Its maximal cones are the images of the maximal cones holding sigma,
+    those whose indices hold sigma's.  No image holds another.  Take p in
+    the relative interior of sigma and x in that of a maximal tau'.  If
+    the image of a maximal tau held the image of tau', then x = y + s
+    with y in tau and s in the span of sigma; for t large, s + t p lies
+    in sigma, so x + t p, a relative-interior point of tau', lies in tau.
+    Then tau meets tau' in a face of tau' that holds such a point, which
+    is tau' itself, and maximality makes tau = tau'.  So the images are
+    the maximal cones as they stand.
+    """
     sigma_indices = tuple(sorted(sigma_indices))
-    try:
-        sigma = fan.cone(sigma_indices)
-    except ValueError as exc:
-        raise FanError(f"{sigma_indices} is not a cone of the fan: {exc}") from exc
-    if fan.find_cone(sigma) != sigma_indices:
+    if not fan.is_cone(sigma_indices):
         raise FanError(f"{sigma_indices} is not a cone of the fan")
+    sigma, sigma_set = fan.cone(sigma_indices), set(sigma_indices)
     d = sigma.dim
     if d == 0:
         return fan, {i: i for i in range(len(fan.rays))}
@@ -1075,8 +1075,7 @@ def star_quotient(fan: Fan, sigma_indices) -> tuple:
     new_rays = []
     star_cones = []
     for mc in fan.maximal_cones:
-        big = fan.cone(mc)
-        if not big.contains_cone(sigma):
+        if not sigma_set.issubset(mc):
             continue
         image = []
         for i in mc:
@@ -1090,19 +1089,9 @@ def star_quotient(fan: Fan, sigma_indices) -> tuple:
                 ray_map[i] = new_rays.index(img)
             image.append(ray_map[i])
         star_cones.append(tuple(sorted(set(image))))
-    star_cones = sorted(set(star_cones))
-    quotient = _prune_nonmaximal(Fan.make(new_rank, new_rays, star_cones, validate=False))
-    # remap ray correspondence onto the pruned fan
-    corr = {}
-    for i, j in ray_map.items():
-        idx = quotient.ray_index(new_rays[j])
-        if idx is not None:
-            corr[i] = idx
-    _validate_once(quotient)
-    return quotient, corr
+    return Fan.make(new_rank, new_rays, sorted(star_cones)), ray_map
 
 
-@lru_cache(maxsize=None)
 def hyperplane_slice(fan: Fan, coord: int) -> Fan:
     """Subfan of cones inside the hyperplane ``x_coord = 0``, re-expressed
     in the rank-(n-1) lattice obtained by dropping that coordinate."""
@@ -1189,32 +1178,15 @@ def standard_fan(name: str, n: int = 0) -> Fan:
 
 
 def _ccw_key(ray):
-    """Sort key for counterclockwise order in the plane, exactly."""
+    """Exact sort key for counterclockwise order in the plane, from the
+    positive x axis: the half plane, then the ray's position along the
+    boundary of the unit l1 ball, which rises with the angle in each
+    half (``x / (|x| + |y|)`` falls over the upper half and rises over
+    the lower one)."""
     x, y = ray
     if y > 0 or (y == 0 and x > 0):
-        half = 0
-    else:
-        half = 1
-    return (half, ray)
-
-
-def _ccw_sorted(rays):
-    """Rays in counterclockwise circular order starting at the positive
-    x half-plane, by exact cross-product comparison."""
-    import functools
-
-    def cmp(a, b):
-        ha, hb = _ccw_key(a)[0], _ccw_key(b)[0]
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(rays, key=functools.cmp_to_key(cmp))
+        return (0, Fraction(-x, abs(x) + abs(y)))
+    return (1, Fraction(x, abs(x) + abs(y)))
 
 
 def complete_fan(fan: Fan) -> Fan:
@@ -1249,7 +1221,7 @@ def complete_fan(fan: Fan) -> Fan:
     # split every circular gap of at least a half turn, then fill the
     # remaining gaps with new 2-cones
     while True:
-        ordered = _ccw_sorted(rays)
+        ordered = sorted(rays, key=_ccw_key)
         inserted = False
         for k, a in enumerate(ordered):
             b = ordered[(k + 1) % len(ordered)]
@@ -1266,7 +1238,7 @@ def complete_fan(fan: Fan) -> Fan:
                 break
         if not inserted:
             break
-    ordered = _ccw_sorted(rays)
+    ordered = sorted(rays, key=_ccw_key)
     cones = set(existing)
     for k, a in enumerate(ordered):
         b = ordered[(k + 1) % len(ordered)]

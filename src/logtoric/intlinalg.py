@@ -43,15 +43,8 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
         if not self.entries:

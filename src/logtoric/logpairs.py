@@ -70,8 +70,7 @@ class LogFanPair:
 
     def validate(self):
         for c in self.open_cones:
-            cone = self.fan.cone(c)
-            if self.fan.find_cone(cone) != c:
+            if not self.fan.is_cone(c):
                 raise LogPairError(f"open cone {c} is not a cone of the fan")
 
     def open_fan(self) -> Fan:
@@ -84,18 +83,15 @@ class LogFanPair:
         )
 
     def open_cone_set(self):
-        out = set()
-        for c in self.open_cones:
-            cone = self.fan.cone(c)
-            ray_of = {self.fan.rays[i]: i for i in c}
-            for f in cone.faces():
-                out.add(tuple(sorted(ray_of[r] for r in f.rays)))
-        return out
+        """The cones of the open part: the cones of the fan whose indices
+        lie in an open cone's, its faces."""
+        opens = [set(c) for c in self.open_cones]
+        return {f for f in self.fan.all_cone_indices() if any(o.issuperset(f) for o in opens)}
 
     def interior_ray_indices(self):
-        """Rays of the fan that lie in the open part."""
-        opens = self.open_cone_set()
-        return sorted({i for c in opens for i in c})
+        """Rays of the fan that lie in the open part: the rays of the open
+        cones."""
+        return sorted({i for c in self.open_cones for i in c})
 
     def boundary_ray_indices(self):
         interior = set(self.interior_ray_indices())
@@ -347,19 +343,16 @@ def smlsmify(pair: LogFanPair):
         alpha = alpha_set(current)
         if not alpha:
             break
-        alpha.sort(key=lambda idx: (-current.fan.cone(idx).dim,
-                                    tuple(current.fan.rays[i] for i in idx)))
+        # the fan is smooth, so a cone's dimension is its ray count
+        alpha.sort(key=lambda idx: (-len(idx), tuple(current.fan.rays[i] for i in idx)))
         center = alpha[0]
         new_fan, step = star_subdivide(current.fan, center)
         steps.append(step)
-        # the open part is untouched: no open cone contains the center
-        opens = []
-        for c in current.open_cones:
-            idx = new_fan.find_cone(current.fan.cone(c))
-            if idx is None:
-                raise LogPairError("open cone destroyed; input was not a log pair")
-            opens.append(idx)
-        current = LogFanPair.make(new_fan, opens)
+        # the open part is untouched: no open cone contains the center, and
+        # a step only appends a ray, so the open cones keep their indices
+        if not all(new_fan.is_cone(c) for c in current.open_cones):
+            raise LogPairError("open cone destroyed; input was not a log pair")
+        current = LogFanPair.make(new_fan, current.open_cones)
     blowup = AdmissibleBlowUp(current, pair, tuple(steps))
     return current, blowup
 
@@ -375,13 +368,9 @@ def resolve_log(pair: LogFanPair):
     current = pair
     for s in steps:
         new_fan, _ = star_subdivide_at_point(current.fan, s.new_ray)
-        opens = []
-        for c in current.open_cones:
-            idx = new_fan.find_cone(current.fan.cone(c))
-            if idx is None:
-                raise LogPairError("resolution hit the open part; not an lSm pair")
-            opens.append(idx)
-        current = LogFanPair.make(new_fan, opens)
+        if not all(new_fan.is_cone(c) for c in current.open_cones):
+            raise LogPairError("resolution hit the open part; not an lSm pair")
+        current = LogFanPair.make(new_fan, current.open_cones)
     cover = DividingCover(current, pair)
     if not is_smlsm(current):
         raise LogPairError("resolved pair is not SmlSm; input was not an lSm pair")

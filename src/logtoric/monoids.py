@@ -20,7 +20,6 @@ from .intlinalg import (
     IntMatrix,
     kernel_basis,
     primitive,
-    rank as mat_rank,
     smith_normal_form,
     solve_integer,
 )
@@ -84,17 +83,6 @@ class ToricMonoid:
         return all(dot(l, x) == 0 for l in dlines) and all(
             dot(r, x) >= 0 for r in drays
         )
-
-    @property
-    def dim(self) -> int:
-        gens = self.generators_of_cone()
-        if not gens:
-            return 0
-        return mat_rank(IntMatrix.from_rows(gens))
-
-    def units(self):
-        """Basis of the unit subgroup M*."""
-        return self.lines
 
     def hilbert_basis(self):
         """Minimal generating set: ± unit basis plus the irreducible

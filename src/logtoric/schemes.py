@@ -49,12 +49,6 @@ class FanMap:
             ):
                 raise SchemeError(f"source cone {mc} has no containing target cone")
 
-    def compose(self, inner: "FanMap") -> "FanMap":
-        """self after inner (inner.target must be self.source)."""
-        if inner.target != self.source:
-            raise SchemeError("composition mismatch")
-        return FanMap(inner.source, self.target, self.matrix @ inner.matrix)
-
 
 @dataclass(frozen=True)
 class OpenImmersion:
@@ -80,7 +74,7 @@ class StarQuotientMap:
     tau: tuple  # ray indices in target
 
     def __post_init__(self):
-        if self.target.find_cone(self.target.cone(self.tau)) != tuple(sorted(self.tau)):
+        if not self.target.is_cone(sorted(self.tau)):
             raise SchemeError("tau is not a cone of the fan")
 
     def source_fan(self) -> Fan:

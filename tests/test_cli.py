@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import logtoric
 from logtoric.cli import main
-from logtoric.fans import fan_to_json, standard_fan
+from logtoric.fans import Fan, fan_to_json, standard_fan
 
 
 def write_fan(tmp_path, fan, name="fan.json"):
@@ -116,6 +121,39 @@ def test_refine_accepts_a_shared_eta(tmp_path, capsys):
     code, out = run(capsys, "refine", p2, p2, "--eta", "0,2")
     assert code == 0
     assert json.loads(out)["steps"] == []
+
+
+def run_process(*argv):
+    """``logtoric`` in a child process, as a user runs it: (exit code,
+    stdout, stderr), so an uncaught exception shows as a traceback."""
+    src = str(Path(logtoric.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "logtoric.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["smlsmify", "refine"])
+def test_an_index_set_that_spans_a_line_is_reported_without_a_traceback(tmp_path, command):
+    # each index set names two opposite rays: it spans a line, so it is no
+    # cone, and the domain's own error reports it
+    if command == "smlsmify":
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({
+            "rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]],
+            "open_maximal_cones": [[0, 1]],
+        }))
+        argv, want = [str(path)], (2, f"input error: {path}: open cone (0, 1) is not a cone of the fan\n")
+    else:
+        square = Fan.make(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+        sq = write_fan(tmp_path, square)
+        argv, want = [sq, sq, "--eta", "0,2"], (1, "error: FanError: eta must be a common cone of both fans\n")
+    code, out, err = run_process(command, *argv)
+    assert (code, err) == want
+    assert out == ""
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -578,6 +578,42 @@ def test_map_divisors_forms_each_generator_image_once(monkeypatch):
     assert len(formed) == needed
 
 
+@pytest.mark.parametrize(
+    "q, r, depths, closed",
+    [
+        # degree 2 at depth 2 over degree 1 at depth 0: degree 1 grows 1 -> 8
+        (1, 1, (0, 0, 2), (1, 8, 137)),
+        # degree 3 at depth 2 over depth 1: degree 2 grows 4 -> 13
+        (1, 0, (1, 1, 1, 2), (1, 1, 13, 248)),
+    ],
+)
+def test_closure_adds_the_face_nodes_a_deeper_degree_needs(q, r, depths, closed):
+    # enumeration of equal depths never needs a face node it lacks; a lower
+    # degree enumerated shallower does
+    diagrams = [enumerate_cnr(m, r, depth) for m, depth in enumerate(depths)]
+    before = [len(d.nodes) for d in diagrams]
+    faces = _close_under_faces(diagrams)
+    assert tuple(len(d.nodes) for d in diagrams) == closed
+    assert tuple(before) != closed
+    for n in range(1, len(diagrams)):
+        upper, below = diagrams[n], diagrams[n - 1]
+        # the first node, in closure order, whose face needed each target
+        first_user = {}
+        for k, entries in enumerate(faces[n]):
+            for zero, _, _, one in entries:
+                first_user.setdefault(zero, k)
+                first_user.setdefault(one, k)
+        for idx in range(before[n - 1], len(below.nodes)):
+            node = below.nodes[idx]
+            assert node.fan == node.fan.canonical()
+            assert below.node_index(node.fan) == idx
+            assert node.depth == upper.nodes[first_user[idx]].depth
+        colim, colim_prev = build_colimit(upper, q), build_colimit(below, q)
+        for i in range(1, n + 1):
+            for kind in (0, 1):
+                _assert_descends(colim, _face_matrix(colim, colim_prev, faces[n], i, kind), colim_prev)
+
+
 @pytest.mark.parametrize("reverse_order", [False, True])
 @pytest.mark.parametrize("n, r", [(2, 0), (2, 1), (3, 0)])
 def test_face_fans_of_closed_diagrams_are_canonical(n, r, reverse_order):

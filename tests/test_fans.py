@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from math import gcd
 from operator import and_
 from pathlib import Path
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from logtoric import fans as fans_module
-from logtoric.cones import Cone, _cone_multiplicity, dot
+from logtoric.cones import Cone, dot
 from logtoric.fans import (
     Fan,
     FanError,
@@ -264,6 +264,20 @@ def test_star_quotient_errors():
         star_quotient(p1_power(2), (0, 1))
 
 
+# rays e1, e1 + e2, e2 with cones (0, 1) and (1, 2): the set (0, 2) spans a
+# strongly convex cone, the union of the two, but it is no cone of the fan
+SPLIT_QUADRANT = Fan.make(2, [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)])
+
+
+def test_a_strongly_convex_index_set_that_is_no_cone_is_rejected():
+    with pytest.raises(FanError) as err:
+        star_quotient(SPLIT_QUADRANT, (2, 0))
+    assert str(err.value) == "(0, 2) is not a cone of the fan"
+    with pytest.raises(FanError) as err:
+        refine(SPLIT_QUADRANT, SPLIT_QUADRANT, (0, 2))
+    assert str(err.value) == "eta must be a common cone of both fans"
+
+
 def test_hyperplane_slice():
     sq = p1_power(2)
     s = hyperplane_slice(sq, 0)
@@ -397,6 +411,33 @@ def test_complete_fan_rank2():
     assert (1, 0) in outs.rays
     # a complete fan is returned unchanged
     assert complete_fan(P2) == P2
+
+
+def _ccw_by_cross_products(rays):
+    """Counterclockwise order from the positive x axis: the half plane,
+    then exact cross products within it."""
+
+    def half(r):
+        return 0 if r[1] > 0 or (r[1] == 0 and r[0] > 0) else 1
+
+    def cmp(a, b):
+        if half(a) != half(b):
+            return half(a) - half(b)
+        cross = a[0] * b[1] - a[1] * b[0]
+        return -1 if cross > 0 else int(cross < 0)
+
+    return sorted(rays, key=cmp_to_key(cmp))
+
+
+def test_complete_fan_sort_key_matches_cross_products():
+    from logtoric.fans import _ccw_key
+
+    rng = random.Random(24)
+    # repeated directions too, whose order the stable sort keeps
+    rays = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if (x, y) != (0, 0)]
+    for _ in range(20):
+        rng.shuffle(rays)
+        assert sorted(rays, key=_ccw_key) == _ccw_by_cross_products(rays)
 
 
 def test_complete_fan_rank3_unsupported():
@@ -1036,7 +1077,7 @@ def test_resolve_matches_point_location_oracle(fan, monkeypatch):
     for k, mults in enumerate(carried):
         if k:
             stage = replay_steps(stage, steps[triangulation + k - 1 : triangulation + k])
-        assert mults == {mc: _cone_multiplicity(stage.cone(mc)) for mc in stage.maximal_cones}
+        assert mults == {mc: stage.cone(mc).multiplicity() for mc in stage.maximal_cones}
     assert stage == out
     # cones and fans built directly are what the normalising makers return
     for mc in out.maximal_cones:
@@ -1485,3 +1526,132 @@ def test_covers_needs_a_piece_for_the_zero_cone():
     zero = Cone.zero(2)
     assert not covers(zero, [])
     assert covers(zero, [zero])
+
+
+# -- cones named by index sets against double description ------------------------
+
+
+def _is_cone_by_dd(fan, idx):
+    """Is ``idx`` a cone of ``fan``: does ``find_cone`` of the cone it spans
+    give it back?"""
+    try:
+        return fan.find_cone(fan.cone(idx)) == idx
+    except ValueError:
+        return False
+
+
+def _prune_nonmaximal(fan):
+    cones = fan.maximal()
+    keep = []
+    for i, c in enumerate(cones):
+        if not any(j != i for j in range(len(cones)) if cones[j].contains_cone(c) and cones[j] != c):
+            keep.append(fan.maximal_cones[i])
+    keep = sorted(set(keep))
+    used = sorted({i for c in keep for i in c})
+    remap = {old: new for new, old in enumerate(used)}
+    return Fan.make(
+        fan.rank,
+        [fan.rays[i] for i in used],
+        [tuple(remap[i] for i in c) for c in keep],
+        validate=False,
+    )
+
+
+def _star_quotient_by_dd(fan, sigma_indices):
+    """``star_quotient`` through ``Cone``: sigma checked by ``find_cone``,
+    the maximal cones through sigma found by containment, and the images
+    pruned to the maximal ones, the ray correspondence remapped."""
+    sigma_indices = tuple(sorted(sigma_indices))
+    try:
+        sigma = fan.cone(sigma_indices)
+    except ValueError as exc:
+        raise FanError(f"{sigma_indices} is not a cone of the fan: {exc}") from exc
+    if fan.find_cone(sigma) != sigma_indices:
+        raise FanError(f"{sigma_indices} is not a cone of the fan")
+    d = sigma.dim
+    if d == 0:
+        return fan, {i: i for i in range(len(fan.rays))}
+    _, u, _ = smith_normal_form(IntMatrix.from_rows(sigma.rays).transpose())
+    proj_rows = [u.row(i) for i in range(d, fan.rank)]
+    ray_map = {}
+    new_rays = []
+    star_cones = []
+    for mc in fan.maximal_cones:
+        if not fan.cone(mc).contains_cone(sigma):
+            continue
+        image = []
+        for i in mc:
+            img = tuple(dot(r, fan.rays[i]) for r in proj_rows)
+            if all(x == 0 for x in img):
+                continue
+            img = primitive(img)
+            if i not in ray_map:
+                if img not in new_rays:
+                    new_rays.append(img)
+                ray_map[i] = new_rays.index(img)
+            image.append(ray_map[i])
+        star_cones.append(tuple(sorted(set(image))))
+    quotient = _prune_nonmaximal(
+        Fan.make(fan.rank - d, new_rays, sorted(set(star_cones)), validate=False)
+    )
+    corr = {}
+    for i, j in ray_map.items():
+        idx = quotient.ray_index(new_rays[j])
+        if idx is not None:
+            corr[i] = idx
+    quotient.validate()
+    return quotient, corr
+
+
+def _index_set_fans():
+    """Seeded smooth towers over (P^1)^3, simplicial non-smooth fans (the
+    shape of ``resolve``'s inputs), a non-simplicial complete fan (the
+    cones over the faces of a cube) and an incomplete fan with a
+    2-dimensional maximal cone."""
+    rng = random.Random(2424)
+    towers = [_random_tower(rng, p1_power(3), steps) for steps in (0, 2, 5)]
+    singular = [
+        f for f in _resolve_oracle_fans()
+        if f.is_simplicial() and not is_smooth(f) and len(f.maximal_cones) > 1
+    ][::4]
+    corners = list(itertools.product((1, -1), repeat=3))
+    cube = Fan.make(
+        3, corners,
+        [[i for i, r in enumerate(corners) if r[k] == s] for k in range(3) for s in (1, -1)],
+    )
+    return towers + singular + [cube, FALLBACK_FANS[0]]
+
+
+INDEX_SET_FANS = _index_set_fans()
+
+
+def _index_sets(fan, count=40):
+    """Every cone of ``fan`` (by double description) and a seeded sample of
+    index sets that are no cone: sets of up to rank + 1 rays, and all the
+    rays."""
+    cones = sorted(_faces_by_dd(fan))
+    rng = random.Random(len(fan.rays))
+    others = {tuple(range(len(fan.rays)))} - set(cones)
+    for _ in range(10 * count):
+        size = rng.randint(1, min(len(fan.rays), fan.rank + 1))
+        idx = tuple(sorted(rng.sample(range(len(fan.rays)), size)))
+        if idx not in cones:
+            others.add(idx)
+    return cones, sorted(others)[:count]
+
+
+def test_index_set_fans_cover_each_shape():
+    assert any(not f.is_simplicial() for f in INDEX_SET_FANS)
+    assert sum(f.is_simplicial() and not is_smooth(f) for f in INDEX_SET_FANS) >= 3
+    assert any(not is_complete(f) for f in INDEX_SET_FANS)
+    assert all(_index_sets(f)[1] for f in INDEX_SET_FANS)
+    assert sum(len(_index_sets(f)[1]) for f in INDEX_SET_FANS) >= 150
+
+
+@pytest.mark.parametrize("fan", INDEX_SET_FANS)
+def test_is_cone_and_star_quotient_match_double_description(fan):
+    cones, others = _index_sets(fan)
+    for idx in cones + others:
+        assert fan.is_cone(idx) == (idx in cones) == _is_cone_by_dd(fan, idx), idx
+        want = _outcome(_star_quotient_by_dd, fan, idx)
+        assert _outcome(star_quotient, fan, idx) == want, idx

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -48,6 +49,15 @@ def test_is_smlsm():
     assert is_smlsm(box_pair(2))
     with pytest.raises(LogPairError, match="smooth"):
         is_smlsm(LogFanPair.full(Fan.make(2, [(1, 0), (1, 2)], [(0, 1)])))
+
+
+def test_an_open_cone_that_is_no_cone_of_the_fan_is_rejected():
+    # (0, 2) spans the quadrant, the union of the two cones, so it is
+    # strongly convex but no cone of the fan
+    fan = Fan.make(2, [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)])
+    with pytest.raises(LogPairError) as err:
+        LogFanPair.make(fan, [(2, 0)])
+    assert str(err.value) == "open cone (0, 2) is not a cone of the fan"
 
 
 def test_boundary_rays_of_box():
@@ -257,3 +267,45 @@ def test_admissible_blowup_dominated_by_smooth_center_tower():
         assert is_smooth_center_blowup(step_blowup)
         current, current_pair = nxt, nxt_pair
     assert current.canonical() == refined.canonical()
+
+
+def _open_cone_set_by_dd(pair):
+    """``open_cone_set`` through ``Cone``: the faces of each open cone,
+    named by the indices of their rays."""
+    out = set()
+    for c in pair.open_cones:
+        ray_of = {pair.fan.rays[i]: i for i in c}
+        for f in pair.fan.cone(c).faces():
+            out.add(tuple(sorted(ray_of[r] for r in f.rays)))
+    return out
+
+
+def _open_part_fans():
+    """Seeded smooth towers over (P^1)^3, a simplicial non-smooth fan, a
+    non-simplicial complete fan (the cones over the faces of a cube) and
+    an incomplete fan with a 2-dimensional maximal cone."""
+    rng = random.Random(2424)
+    fans = [p1_power(3)]
+    for _ in range(4):
+        centers = [c for c in fans[-1].all_cone_indices() if len(c) >= 2]
+        fans.append(star_subdivide(fans[-1], rng.choice(centers))[0])
+    corners = list(itertools.product((1, -1), repeat=3))
+    faces = [[i for i, r in enumerate(corners) if r[k] == s] for k in range(3) for s in (1, -1)]
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)]
+    return fans + [
+        Fan.make(3, e[:2] + [(1, 1, 3), (1, 1, -3)], [(0, 1, 2), (0, 1, 3)]),
+        Fan.make(3, corners, faces),
+        Fan.make(3, e, [(0, 1, 2), (1, 3)]),
+    ]
+
+
+@pytest.mark.parametrize("fan", _open_part_fans())
+def test_open_cone_set_matches_the_faces_by_double_description(fan):
+    rng = random.Random(len(fan.rays))
+    cones = fan.all_cone_indices()
+    opens = [[()], fan.maximal_cones] + [rng.sample(cones, k) for k in (1, 2, 3) for _ in range(4)]
+    for open_cones in opens:
+        pair = LogFanPair.make(fan, open_cones)
+        want = _open_cone_set_by_dd(pair)
+        assert pair.open_cone_set() == want
+        assert pair.interior_ray_indices() == sorted({i for c in want for i in c})

@@ -80,6 +80,15 @@ def test_scheme_image_dense_open():
     assert img == p1_power(2)
 
 
+def test_star_quotient_map_rejects_a_tau_that_is_no_cone():
+    # (0, 2) spans the quadrant, the union of the two cones, so it is
+    # strongly convex but no cone of the fan
+    fan = Fan.make(2, [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)])
+    with pytest.raises(SchemeError) as err:
+        StarQuotientMap(fan, (2, 0))
+    assert str(err.value) == "tau is not a cone of the fan"
+
+
 def test_scheme_image_star_quotient():
     m = StarQuotientMap(p1_power(2), (0,))
     kind, img = scheme_image(m)

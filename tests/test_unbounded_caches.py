@@ -20,7 +20,6 @@ ALLOWED = {
     "cones._cone_facets",
     "cones._dual_description",
     "fans._fan_all_cone_indices",
-    "fans.hyperplane_slice",
     "fans.is_complete",
     "fans.is_smooth",
 }
