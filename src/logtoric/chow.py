@@ -138,6 +138,13 @@ def make_class(fan: Fan, q: int, coeffs) -> ChowClass:
     return _class_of(fan, q, vec)
 
 
+def generator_class(fan: Fan, q: int, j: int) -> ChowClass:
+    """The class of the ``j``-th degree-``q`` generator cone, read off its
+    position with no cone lookup."""
+    size = len(presentation_data(fan, q)[0])
+    return _class_of(fan, q, [int(k == j) for k in range(size)])
+
+
 def zero_class(fan: Fan, q: int) -> ChowClass:
     gens, _, _ = presentation_data(fan, q)
     return ChowClass(fan, q, tuple(0 for _ in gens))
@@ -475,20 +482,9 @@ def restrict_slice(fan: Fan, coord: int, cls: ChowClass, divisor_of=None) -> Cho
 
 def external_insert(cls: ChowClass, position: int) -> ChowClass:
     """Pullback along the projection that forgets an inserted P^1
-    coordinate: generators keep their rays, nothing from the new factor."""
-    fan = cls.fan
-    big = insert_p1_coordinate(fan, position)
-
-    def splice_ray(vec):
-        return tuple(list(vec[:position]) + [0] + list(vec[position:]))
-
-    gens, _, _ = presentation_data(fan, cls.q)
-    coeffs = {}
-    for cone, c in zip(gens, cls.coords):
-        if c == 0:
-            continue
-        new_cone = tuple(
-            sorted(big.ray_index(splice_ray(fan.rays[i])) for i in cone)
-        )
-        coeffs[new_cone] = coeffs.get(new_cone, 0) + c
-    return make_class(big, cls.q, coeffs)
+    coordinate: generators keep their rays, nothing from the new factor.
+    ``insert_p1_coordinate`` lists the fan's rays first, in order, so each
+    generator keeps its ray indices."""
+    big = insert_p1_coordinate(cls.fan, position)
+    gens, _, _ = presentation_data(cls.fan, cls.q)
+    return make_class(big, cls.q, {cone: c for cone, c in zip(gens, cls.coords) if c})

@@ -34,7 +34,7 @@ from itertools import chain
 
 from .abelian import Presentation, kernel_mod_lattice
 from .chow import (
-    make_class,
+    generator_class,
     presentation_data,
     pullback_divisors,
     pullback_subdivision,
@@ -99,10 +99,10 @@ def build_colimit(diagram: CnrDiagram, q: int) -> ColimitGroup:
         cones, node_rows, _ = presentation_data(node.fan, q)
         start = len(gens)
         starts.append(start)
-        for cone in cones:
+        for j, cone in enumerate(cones):
             gen_index[(node_idx, cone)] = len(gens)
             gens.append((node_idx, cone))
-            units.append(make_class(node.fan, q, {cone: 1}))
+            units.append(generator_class(node.fan, q, j))
         rows.extend({start + j: v for j, v in enumerate(row) if v} for row in node_rows)
     for child, parent in diagram.refinement_edges():
         source = diagram.nodes[child].fan

@@ -130,13 +130,20 @@ def generated_description(gens, ambient):
     """Sorted (lines, rays) of the cone generated by ``gens``: a basis of
     its lineality space and its primitive extreme rays modulo lines, by
     double description of its dual."""
-    dlines, drays = _dual_description(gens, ambient)
-    ineqs = list(drays)
-    for l in dlines:
-        ineqs.append(l)
-        ineqs.append(tuple(-x for x in l))
+    ineqs = spanning_vectors(*_dual_description(gens, ambient))
     lines, rays = extreme_description(ineqs, ambient)
     return tuple(sorted(lines)), tuple(sorted(rays))
+
+
+def spanning_vectors(lines, rays):
+    """The rays, then each line both ways: vectors whose nonnegative span
+    is the cone with lineality basis ``lines`` and extreme rays ``rays``,
+    as generators of it or as the inequalities of its dual."""
+    out = list(rays)
+    for l in lines:
+        out.append(tuple(l))
+        out.append(tuple(-x for x in l))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -185,12 +192,7 @@ class Cone:
 
     def is_smooth(self) -> bool:
         """Do the rays extend to a basis of the ambient lattice?"""
-        if not self.rays:
-            return True
-        if not self.is_simplicial():
-            return False
-        d, _, _ = smith_normal_form(IntMatrix.from_rows(self.rays))
-        return all(x == 1 for x in d.diagonal())
+        return self.is_simplicial() and self.multiplicity() == 1
 
     def multiplicity(self) -> int:
         """Index of the subgroup spanned by the rays in its saturation (simplicial only)."""
@@ -270,12 +272,7 @@ def _meet(a: Cone, b: Cone) -> Cone:
     """``a ∩ b`` by double description of both duals' inequalities.
     Bounded like ``fans._dual_basis``; an intersection that grows a line
     raises on every call, since ``lru_cache`` stores no exception."""
-    ineqs = []
-    for lines, rays in (a.dual(), b.dual()):
-        ineqs.extend(rays)
-        for l in lines:
-            ineqs.append(l)
-            ineqs.append(tuple(-x for x in l))
+    ineqs = spanning_vectors(*a.dual()) + spanning_vectors(*b.dual())
     lines, rays = extreme_description(ineqs, a.ambient)
     if lines:
         raise ValueError("intersection of strongly convex cones grew a line")

@@ -14,35 +14,41 @@ integer inverse per maximal cone (``_unimodular_inverses``; the bounded
 ``_dual_basis`` memo inverts each distinct cone once, however many fans
 share it, reading the inverse off the reduced Hermite form of ``[A |
 I]``).  Membership is then the sign of the coordinates under that
-inverse, faces are the subsets of the maximal cones, hyperplane slices
-are the maximal meets of the maximal cones with the hyperplane's rays,
-and a star subdivision at a face is the combinatorial split
-``sigma - {i} + {v}``.  ``is_smooth``, ``is_complete``,
-``subdivision_witness``, ``star_subdivide`` and ``hyperplane_slice``
-take this path by themselves; every other fan (lower dimensional or
-non-smooth maximal cones) keeps the double description of ``cones``,
-which is also the kernel's test oracle.  Once ``resolve`` has
-triangulated, it builds each simplicial maximal cone from its sorted rays
-with no double description, picks each center off the worst cone's Smith
-form by integer coefficient numerators, and splits by the same index-set
-rule; each new cone's multiplicity is carried from its parent (the center
-coefficient times the parent's), not factored again.  ``Fan.validate``
-certifies complete smooth fans by facet pairing on the kernel table, and
-meets each pair of maximal cones of any other fan once, reading both the
-containment and the common-face checks off that meet.  ``support_equal``
-and ``is_subdivision`` decide complete fans by ``is_complete`` and run
-exact volumes only when neither fan is complete.  ``crosses`` meets tau
-with the maximal cones only (the faces follow), which ``refine`` builds
-once per fan, and ``cones`` memoizes each meet.  ``product`` and
-``insert_p1_coordinate`` build fans by construction, so they validate
-their inputs, not their output.
+inverse, faces are the subsets of the maximal cones, subfans on a ray
+subset are the maximal meets of the maximal cones with it, and a star
+subdivision at a face is the combinatorial split ``sigma - {i} + {v}``.
+``is_smooth``, ``is_complete``, ``subdivision_witness``,
+``star_subdivide`` and ``cones_within`` take this path by themselves;
+every other fan (lower dimensional or non-smooth maximal cones) keeps the
+double description of ``cones``, which is also the kernel's test oracle.
+Once ``resolve`` has triangulated, it builds each simplicial maximal cone
+from its sorted rays with no double description, picks each center off
+the worst cone's Smith form by integer coefficient numerators, and splits
+by the same index-set rule; each new cone's multiplicity is carried from
+its parent (the center coefficient times the parent's), not factored
+again.  ``Fan.validate`` certifies complete smooth fans by facet pairing
+on the kernel table, and meets each pair of maximal cones of any other
+fan once, reading both the containment and the common-face checks off
+that meet.  ``support_equal`` and ``is_subdivision`` decide complete fans
+by ``is_complete`` and run exact volumes only when neither fan is
+complete.  ``crosses`` meets tau with the maximal cones only (the faces
+follow), which ``refine`` builds once per fan, and ``cones`` memoizes
+each meet.
 
 A ray of a fan that lies in one of its cones is one of that cone's rays,
 so a cone of a fan is named by the sorted indices of its rays:
-``Fan.is_cone`` looks an index set up among the fan's faces, and
-``star_quotient`` keeps the image of every maximal cone through sigma,
-since none holds another.  ``Fan.find_cone`` keeps its double
-description for a cone given by its rays, as lookups in another fan need.
+``Fan.is_cone`` looks an index set up among the fan's faces.
+``Fan.find_cone`` keeps its double description for a cone given by its
+rays, as lookups in another fan need.
+
+Each way of building a fan from another has one implementation.
+``star_images`` walks the star of a cone and maps each ray once, for
+``star_quotient`` and ``sbl.face_zero_data``; ``cones_within`` picks the
+maximal cones on a ray subset and ``restrict`` re-indexes the rays they
+use, for ``hyperplane_slice`` and the subfans of ``logpairs``; and
+``insert_p1_coordinate`` is ``permute_coordinates`` of a ``product``.
+``product`` and ``permute_coordinates`` build fans by construction, so
+they validate their inputs, not their output.
 """
 
 from __future__ import annotations
@@ -120,6 +126,10 @@ class Fan:
             if r == vec:
                 return i
         return None
+
+    def ray_sum(self, indices) -> tuple:
+        """The sum of the rays ``indices``, the zero vector for none."""
+        return tuple(map(sum, zip(*(self.rays[i] for i in indices), [0] * self.rank)))
 
     def validate(self):
         """Raise unless this is a fan.  ``_certified_complete`` accepts
@@ -324,7 +334,7 @@ def _facet_certificate(fan: Fan) -> bool:
         (j, k), (i, m) = pair
         if dot(table[j][k], fan.rays[fan.maximal_cones[i][m]]) >= 0:
             return False
-    inside = tuple(map(sum, zip(*(fan.rays[i] for i in fan.maximal_cones[0]))))
+    inside = fan.ray_sum(fan.maximal_cones[0])
     return not any(_in_unimodular(duals, inside) for duals in table[1:])
 
 
@@ -378,7 +388,6 @@ def _fan_all_cone_indices(fan: Fan):
     return tuple(cones), tuple(out[c] for c in cones)
 
 
-@lru_cache(maxsize=None)
 def is_smooth(fan: Fan) -> bool:
     """Every maximal cone simplicial with unimodular ray matrix."""
     if _unimodular_inverses(fan) is not None:
@@ -386,7 +395,6 @@ def is_smooth(fan: Fan) -> bool:
     return all(c.is_smooth() for c in fan.maximal())
 
 
-@lru_cache(maxsize=None)
 def is_complete(fan: Fan) -> bool:
     """Support equals the whole ambient space.
 
@@ -515,7 +523,7 @@ def _star_subdivide_unimodular(fan: Fan, center, table):
     hold = [set(center).issubset(mc) for mc in fan.maximal_cones]
     if not any(hold):
         return None
-    point = tuple(sum(fan.rays[i][k] for i in center) for k in range(fan.rank))
+    point = fan.ray_sum(center)
     if fan.ray_index(point) is not None or any(
         _in_unimodular(duals, point) for h, duals in zip(hold, table) if not h
     ):
@@ -578,8 +586,7 @@ def star_subdivide(fan: Fan, center) -> tuple:
         raise FanError("star subdivision center must have dimension >= 2")
     if not fan.is_cone(center):
         raise FanError(f"center {center} is not a cone of the fan")
-    total = tuple(sum(fan.rays[i][k] for i in center) for k in range(fan.rank))
-    return star_subdivide_at_point(fan, primitive(total))
+    return star_subdivide_at_point(fan, primitive(fan.ray_sum(center)))
 
 
 def replay_steps(fan: Fan, steps) -> Fan:
@@ -909,15 +916,12 @@ def _two_cone_indices(fan: Fan):
     return sorted(out)
 
 
-def _is_face_of_eta(fan: Fan, pair, eta: Cone) -> bool:
-    va, vb = fan.rays[pair[0]], fan.rays[pair[1]]
-    return eta.contains_point(va) and eta.contains_point(vb)
-
-
-def _engine(fan: Fan, phi, eta: Cone, steps, scope=None):
+def _engine(fan: Fan, phi, eta, steps, scope=None):
     """Star subdivide 2-cones with strictly opposite signs of ``phi``
-    until none remain (within ``scope``), never splitting a face of
-    ``eta``.
+    until none remain (within ``scope``), never splitting a face of the
+    cone with ray indices ``eta``.  A ray of the fan that lies in that
+    cone is one of its rays, and a step only appends a ray, so a pair
+    spans a face of eta exactly when both indices are in ``eta``.
 
     The chosen pair always has maximal ``phi``-gap; every pair created
     by the split has a strictly smaller gap, so the multiset of gaps
@@ -929,7 +933,7 @@ def _engine(fan: Fan, phi, eta: Cone, steps, scope=None):
             vi, vj = phi_i, phi_j = dot(phi, fan.rays[i]), dot(phi, fan.rays[j])
             if phi_i == 0 or phi_j == 0 or (phi_i > 0) == (phi_j > 0):
                 continue
-            if _is_face_of_eta(fan, (i, j), eta):
+            if i in eta and j in eta:
                 continue
             if scope is not None and not scope(fan, (i, j)):
                 continue
@@ -1017,7 +1021,7 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
         if psi is None:
             raise FanError("no separating functional; eta and tau do not meet in a face")
         before = len(steps)
-        fan = _engine(fan, psi, eta, steps)
+        fan = _engine(fan, psi, eta_indices, steps)
 
         def in_scope(f: Fan, pair, _psi=psi):
             for mc in f.maximal_cones:
@@ -1027,7 +1031,7 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
             return False
 
         for phi in _cut_functionals(tau):
-            fan = _engine(fan, phi, eta, steps, scope=in_scope)
+            fan = _engine(fan, phi, eta_indices, steps, scope=in_scope)
         if len(steps) > before:
             cones = fan.maximal()
         if crosses(tau, fan, cones):
@@ -1058,7 +1062,7 @@ def star_quotient(fan: Fan, sigma_indices) -> tuple:
     sigma_indices = tuple(sorted(sigma_indices))
     if not fan.is_cone(sigma_indices):
         raise FanError(f"{sigma_indices} is not a cone of the fan")
-    sigma, sigma_set = fan.cone(sigma_indices), set(sigma_indices)
+    sigma = fan.cone(sigma_indices)
     d = sigma.dim
     if d == 0:
         return fan, {i: i for i in range(len(fan.rays))}
@@ -1068,28 +1072,65 @@ def star_quotient(fan: Fan, sigma_indices) -> tuple:
     proj_rows = [u.row(i) for i in range(d, fan.rank)]
 
     def project(vec):
-        return tuple(dot(r, vec) for r in proj_rows)
+        return primitive(tuple(dot(r, vec) for r in proj_rows))
 
-    new_rank = fan.rank - d
-    ray_map = {}
-    new_rays = []
-    star_cones = []
-    for mc in fan.maximal_cones:
-        if not sigma_set.issubset(mc):
-            continue
-        image = []
-        for i in mc:
-            img = project(fan.rays[i])
-            if all(x == 0 for x in img):
-                continue
-            img = primitive(img)
-            if i not in ray_map:
-                if img not in new_rays:
-                    new_rays.append(img)
-                ray_map[i] = new_rays.index(img)
-            image.append(ray_map[i])
-        star_cones.append(tuple(sorted(set(image))))
-    return Fan.make(new_rank, new_rays, sorted(star_cones)), ray_map
+    rays, ray_map, cones = star_images(fan, sigma_indices, project)
+    return Fan.make(fan.rank - d, rays, sorted(cones)), ray_map
+
+
+def star_images(fan: Fan, sigma_indices, image):
+    """The images of the star of the cone ``sigma_indices`` under
+    ``image``, which maps a ray outside sigma to a primitive vector:
+    ``(rays, place, cones)``, the image rays in order of first
+    appearance, {star ray index: index of its image} and, per maximal
+    cone holding sigma in the fan's order, the sorted indices of its
+    image's rays.  Each ray is mapped once.
+
+    On the smooth path every image ray is extreme in its image cone.  Off
+    it an image may list a non-extreme ray (the cones over the faces of a
+    cube, at a corner): each image cone keeps the rays that are extreme in
+    ``Cone.make`` of its images, and a ray extreme in none has no image.
+    """
+    sigma = set(sigma_indices)
+    star = [[j for j in mc if j not in sigma] for mc in fan.maximal_cones if sigma.issubset(mc)]
+    vec = {j: image(fan.rays[j]) for j in dict.fromkeys(itertools.chain(*star))}
+    if vec and _unimodular_inverses(fan) is None:
+        rank = len(next(iter(vec.values())))
+        extreme = [set(Cone.make([vec[j] for j in c], rank).rays) if c else () for c in star]
+        star = [[j for j in c if vec[j] in ext] for c, ext in zip(star, extreme)]
+    index = {}
+    place = {j: index.setdefault(vec[j], len(index)) for j in dict.fromkeys(itertools.chain(*star))}
+    return list(index), place, [tuple(sorted({place[j] for j in c})) for c in star]
+
+
+def cones_within(fan: Fan, keep):
+    """The maximal ones among the cones of ``fan`` whose rays all lie in
+    ``keep``, ordered by (length, indices).  On the smooth path the faces
+    are the subsets of the maximal cones, so the maximal meets of the
+    maximal cones with ``keep`` suffice."""
+    keep = set(keep)
+    if _unimodular_inverses(fan) is not None:
+        cones = {tuple(i for i in mc if i in keep) for mc in fan.maximal_cones}
+    else:
+        cones = [c for c in fan.all_cone_indices() if keep.issuperset(c)]
+    sets = [(c, set(c)) for c in cones]
+    maximal = [c for c, s in sets if not any(s < t for _, t in sets)]
+    return sorted(maximal, key=lambda c: (len(c), c))
+
+
+def restrict(fan: Fan, cones, coord=None) -> Fan:
+    """The fan of ``cones``, cones of ``fan`` none inside another, on the
+    rays they use, in the fan's ray order and the given cone order.  With
+    ``coord``, the cones lie in the hyperplane ``x_coord = 0`` and that
+    coordinate is dropped."""
+    used = sorted({i for c in cones for i in c})
+    remap = {old: new for new, old in enumerate(used)}
+    rays = [fan.rays[i] for i in used]
+    rank = fan.rank
+    if coord is not None:
+        rays = [r[:coord] + r[coord + 1 :] for r in rays]
+        rank -= 1
+    return Fan.make(rank, rays, [tuple(remap[i] for i in c) for c in cones])
 
 
 def hyperplane_slice(fan: Fan, coord: int) -> Fan:
@@ -1097,26 +1138,8 @@ def hyperplane_slice(fan: Fan, coord: int) -> Fan:
     in the rank-(n-1) lattice obtained by dropping that coordinate."""
     if not 0 <= coord < fan.rank:
         raise FanError("coordinate out of range")
-    keep = {i for i, r in enumerate(fan.rays) if r[coord] == 0}
-    if _unimodular_inverses(fan) is not None:
-        # faces are subsets of maximal cones: the maximal meets suffice
-        sliced = {tuple(i for i in mc if i in keep) for mc in fan.maximal_cones}
-    else:
-        sliced = [idx for idx in fan.all_cone_indices() if set(idx) <= keep]
-    sets = [(c, set(c)) for c in sliced]
-    maximal = [c for c, s in sets if not any(s < t for _, t in sets)]
-
-    def drop(vec):
-        return tuple(x for i, x in enumerate(vec) if i != coord)
-
-    used = sorted({i for c in maximal for i in c})
-    final_rays = [drop(fan.rays[i]) for i in used]
-    remap = {old: new for new, old in enumerate(used)}
-    return Fan.make(
-        fan.rank - 1,
-        final_rays,
-        sorted(tuple(sorted(remap[i] for i in c)) for c in maximal),
-    )
+    keep = [i for i, r in enumerate(fan.rays) if r[coord] == 0]
+    return restrict(fan, sorted(cones_within(fan, keep)), coord)
 
 
 def product(f: Fan, g: Fan) -> Fan:
@@ -1258,18 +1281,11 @@ def complete_fan(fan: Fan) -> Fan:
 
 
 def insert_p1_coordinate(fan: Fan, position: int) -> Fan:
-    """fan x P^1 with the new coordinate spliced in at ``position``: a
+    """fan x P^1 with the new coordinate moved to ``position``: a
     coordinate permutation of a product, so it is a fan and is not
     validated again."""
-    prod = product(fan, standard_fan("P^n", 1))
-
-    def splice(vec):
-        head = list(vec[: fan.rank])
-        tail = vec[fan.rank]
-        return tuple(head[:position] + [tail] + head[position:])
-
-    rays = [splice(r) for r in prod.rays]
-    return Fan.make(fan.rank + 1, rays, prod.maximal_cones, validate=False)
+    perm = [*range(position), fan.rank, *range(position, fan.rank)]
+    return permute_coordinates(product(fan, standard_fan("P^n", 1)), perm)
 
 
 def permute_coordinates(fan: Fan, perm) -> Fan:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Cone
+from .cones import Cone, extreme_description, spanning_vectors
 from .fans import (
     Fan,
+    cones_within,
     fan_from_json,
     is_partial_subdivision,
     is_smooth,
@@ -21,6 +22,7 @@ from .fans import (
     json_int,
     p1_power,
     resolve,
+    restrict,
     standard_fan,
     star_quotient,
     star_subdivide,
@@ -53,10 +55,8 @@ class LogFanPair:
     @staticmethod
     def from_boundary_rays(fan: Fan, boundary_ray_indices) -> "LogFanPair":
         """Open part = all cones avoiding every listed ray."""
-        boundary = set(boundary_ray_indices)
-        cones = [c for c in fan.all_cone_indices() if not (set(c) & boundary)]
-        maximal = [c for c in cones if not any(set(c) < set(d) for d in cones)]
-        return LogFanPair.make(fan, maximal)
+        keep = set(range(len(fan.rays))) - set(boundary_ray_indices)
+        return LogFanPair.make(fan, cones_within(fan, keep))
 
     @staticmethod
     def trivial(fan: Fan) -> "LogFanPair":
@@ -74,13 +74,7 @@ class LogFanPair:
                 raise LogPairError(f"open cone {c} is not a cone of the fan")
 
     def open_fan(self) -> Fan:
-        used = sorted({i for c in self.open_cones for i in c})
-        remap = {old: new for new, old in enumerate(used)}
-        return Fan.make(
-            self.fan.rank,
-            [self.fan.rays[i] for i in used],
-            [tuple(remap[i] for i in c) for c in self.open_cones],
-        )
+        return restrict(self.fan, self.open_cones)
 
     def open_cone_set(self):
         """The cones of the open part: the cones of the fan whose indices
@@ -133,11 +127,7 @@ def hom_exists(underlying, src: LogFanPair, dst: LogFanPair) -> bool:
         if underlying.source != src.fan or underlying.target != dst.fan:
             raise LogPairError("underlying map does not match the pairs")
         for c in src.open_cones:
-            pt = [0] * src.fan.rank
-            for i in c:
-                for k in range(src.fan.rank):
-                    pt[k] += src.fan.rays[i][k]
-            img = underlying.matrix.apply(pt)
+            img = underlying.matrix.apply(src.fan.ray_sum(c))
             if not any(img):
                 target_cone = ()
             else:
@@ -166,21 +156,8 @@ def sharpen(pair: LogFanPair) -> LogFanPair:
     """The pair S#: subfan of cones none of whose rays lies in the open
     part, with only the torus left open.  Dividing covers of the pair and
     of its sharpening agree."""
-    interior = set(pair.interior_ray_indices())
-    keep = [
-        idx
-        for idx in pair.fan.all_cone_indices()
-        if not (set(idx) & interior)
-    ]
-    maximal = [c for c in keep if not any(set(c) < set(d) for d in keep)]
-    used = sorted({i for c in maximal for i in c})
-    remap = {old: new for new, old in enumerate(used)}
-    fan = Fan.make(
-        pair.fan.rank,
-        [pair.fan.rays[i] for i in used],
-        [tuple(sorted(remap[i] for i in c)) for c in maximal],
-    )
-    return LogFanPair.full(fan)
+    cones = cones_within(pair.fan, pair.boundary_ray_indices())
+    return LogFanPair.full(restrict(pair.fan, cones))
 
 
 @dataclass(frozen=True)
@@ -269,8 +246,7 @@ def _transfer_open_cones(base_pair: LogFanPair, new_fan: Fan):
 
 
 def _fiber_pullback_fan(upstairs: Fan, h: IntMatrix, base: Fan) -> Fan:
-    from .cones import extreme_description
-
+    ht = h.transpose()
     pieces = set()
     for smc in base.maximal_cones:
         sigma = base.cone(smc)
@@ -278,20 +254,8 @@ def _fiber_pullback_fan(upstairs: Fan, h: IntMatrix, base: Fan) -> Fan:
             tau = upstairs.cone(tmc)
             # h^{-1}(tau) ∩ sigma: inequalities pulled back through h plus
             # sigma's own
-            ineqs = []
-            tl, tr = tau.dual()
-            ht = h.transpose()
-            for w in tr:
-                ineqs.append(tuple(ht.apply(w)))
-            for l in tl:
-                v = tuple(ht.apply(l))
-                ineqs.append(v)
-                ineqs.append(tuple(-x for x in v))
-            sl, sr = sigma.dual()
-            ineqs.extend(sr)
-            for l in sl:
-                ineqs.append(tuple(l))
-                ineqs.append(tuple(-x for x in l))
+            ineqs = [tuple(ht.apply(w)) for w in spanning_vectors(*tau.dual())]
+            ineqs += spanning_vectors(*sigma.dual())
             lines, rays = extreme_description(ineqs, base.rank)
             if lines:
                 raise LogPairError("pullback cone is not strongly convex")
@@ -449,13 +413,10 @@ def pair_to_json(pair: LogFanPair) -> dict:
     from .fans import fan_to_json
 
     data = fan_to_json(pair.fan)
-    interior = set(pair.interior_ray_indices())
+    # the open part is every cone on the interior rays when it holds the
+    # maximal ones
     opens = pair.open_cone_set()
-    if all(
-        tuple(sorted(c)) in opens
-        for c in pair.fan.all_cone_indices()
-        if not (set(c) - interior)
-    ):
+    if all(c in opens for c in cones_within(pair.fan, pair.interior_ray_indices())):
         data["boundary_rays"] = pair.boundary_ray_indices()
     else:
         data["open_maximal_cones"] = [list(c) for c in pair.open_cones]

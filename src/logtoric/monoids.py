@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .cones import Cone, _dual_description, dot, generated_description
+from .cones import Cone, _dual_description, dot, generated_description, spanning_vectors
 from .fans import _triangulate, fundamental_points
 from .intlinalg import (
     IntMatrix,
@@ -60,19 +60,11 @@ class ToricMonoid:
     @staticmethod
     def group(n: int) -> "ToricMonoid":
         """Z^n."""
-        gens = []
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            gens.append(e)
-            gens.append(tuple(-x for x in e))
-        return ToricMonoid.from_gens(gens, n)
+        units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        return ToricMonoid.from_gens(spanning_vectors(units, ()), n)
 
     def generators_of_cone(self):
-        out = list(self.cone_rays)
-        for l in self.lines:
-            out.append(l)
-            out.append(tuple(-x for x in l))
-        return out
+        return spanning_vectors(self.lines, self.cone_rays)
 
     def dual_description(self):
         return _dual_description(tuple(self.generators_of_cone()), self.rank)
@@ -87,10 +79,7 @@ class ToricMonoid:
     def hilbert_basis(self):
         """Minimal generating set: ± unit basis plus the irreducible
         elements of the pointed quotient, lifted deterministically."""
-        out = []
-        for l in self.lines:
-            out.append(l)
-            out.append(tuple(-x for x in l))
+        out = spanning_vectors(self.lines, ())
         if not self.cone_rays:
             return tuple(sorted(out))
         if not self.lines:

@@ -32,6 +32,7 @@ from .fans import (
     product,
     resolve,
     standard_fan,
+    star_images,
     star_subdivide,
     subdivision_witness,
 )
@@ -85,7 +86,7 @@ def satisfies_ray_condition(fan: Fan, n: int, r: int) -> bool:
     return True
 
 
-def check_node_fan(fan: Fan, n: int, r: int, check_subdivides_root=True):
+def check_node_fan(fan: Fan, n: int, r: int):
     if fan.rank != n + r:
         raise SblError("rank must be n + r")
     if not is_smooth(fan):
@@ -95,9 +96,8 @@ def check_node_fan(fan: Fan, n: int, r: int, check_subdivides_root=True):
     cube = cube_cone_indices(fan, n)
     if cube is None or fan.find_cone(fan.cone(cube)) != cube:
         raise SblError("the cube orthant is not a cone of the fan")
-    if check_subdivides_root:
-        if subdivision_witness(fan, cnr_root(n, r)) is None:
-            raise SblError("node fan does not subdivide the root")
+    if subdivision_witness(fan, cnr_root(n, r)) is None:
+        raise SblError("node fan does not subdivide the root")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ class CnrNode:
     depth: int
 
     @staticmethod
-    def make(n, r, fan, depth=0, check_root=True) -> "CnrNode":
-        check_node_fan(fan, n, r, check_subdivides_root=check_root)
+    def make(n, r, fan, depth=0) -> "CnrNode":
+        check_node_fan(fan, n, r)
         return CnrNode(n, r, fan.canonical(), depth)
 
 
@@ -207,9 +207,7 @@ def allowed_centers(fan: Fan, n: int, r: int):
             continue
         if set(idx) <= cube:
             continue
-        new_ray = primitive(
-            tuple(sum(fan.rays[i][k] for i in idx) for k in range(fan.rank))
-        )
+        new_ray = primitive(fan.ray_sum(idx))
         ok = True
         for i in range(n, n + r):
             if new_ray[i] > 0 and new_ray != _unit(fan.rank, i):
@@ -232,13 +230,9 @@ def enumerate_cnr(
     """
     if budget is None:
         budget = node_budget()
-    root = CnrNode.make(n, r, cnr_root(n, r), depth=0, check_root=False)
-    nodes = [root]
-    index = {root.fan: 0}
-    edges = set()
+    diagram = CnrDiagram(n, r, depth, [CnrNode.make(n, r, cnr_root(n, r))], set())
+    nodes, index, edges = diagram.nodes, diagram._index, diagram.parent_edges
     frontier = [0]
-    truncated = False
-    explored = 0
     for level in range(1, depth + 1):
         new_frontier = []
         for parent_i in frontier:
@@ -247,24 +241,22 @@ def enumerate_cnr(
             if reverse_order:
                 centers = list(reversed(centers))
             for center in centers:
-                explored += 1
+                diagram.explored += 1
                 child_fan, _ = star_subdivide(parent.fan, center)
                 child_fan = child_fan.canonical()
                 if child_fan in index:
                     edges.add((index[child_fan], parent_i))
                     continue
                 if len(nodes) >= budget:
-                    truncated = True
+                    diagram.truncated = True
                     continue
-                node = CnrNode(n, r, child_fan, level)
-                nodes.append(node)
-                index[child_fan] = len(nodes) - 1
-                edges.add((index[child_fan], parent_i))
-                new_frontier.append(index[child_fan])
+                new_frontier.append(len(nodes))
+                edges.add((len(nodes), parent_i))
+                diagram.add_node(CnrNode(n, r, child_fan, level))
         frontier = new_frontier
-        if truncated:
+        if diagram.truncated:
             break
-    return CnrDiagram(n, r, depth, nodes, edges, truncated=truncated, explored=explored)
+    return diagram
 
 
 # -- faces, degeneracies, multiplication ---------------------------------------
@@ -284,28 +276,18 @@ def face_zero_data(fan: Fan, n: int, r: int, i: int):
         raise SblError("face left diagram: e_i is not a ray")
 
     def drop(vec):
-        return tuple(x for k, x in enumerate(vec) if k != coord)
+        v = vec[:coord] + vec[coord + 1 :]
+        if not any(v):
+            raise SblError("face left diagram: degenerate image ray")
+        return primitive(v)
 
-    star = [mc for mc in fan.maximal_cones if ray in mc]
-    rays, lifts = [], []  # quotient rays in order of first appearance
-    index = {}  # quotient ray -> its position in rays
-    place = {}  # star ray index -> position of its image, derived once
-    for mc in star:
-        for j in mc:
-            if j == ray or j in place:
-                continue
-            v = drop(fan.rays[j])
-            if not any(v):
-                raise SblError("face left diagram: degenerate image ray")
-            v = primitive(v)
-            if v not in index:
-                index[v] = len(rays)
-                rays.append(v)
-                lifts.append(j)
-            place[j] = index[v]
+    rays, place, cones = star_images(fan, (ray,), drop)
     order = sorted(range(len(rays)), key=rays.__getitem__)
     remap = {old: new for new, old in enumerate(order)}
-    cones = {tuple(sorted(remap[place[j]] for j in mc if j != ray)) for mc in star}
+    lifts = {}  # image index -> the first star ray mapped onto it
+    for j, k in place.items():
+        lifts.setdefault(k, j)
+    cones = {tuple(sorted(remap[k] for k in c)) for c in cones}
     fan_out = Fan.make(fan.rank - 1, [rays[k] for k in order], sorted(cones))
     return fan_out, tuple(lifts[k] for k in order), ray
 
@@ -337,18 +319,9 @@ def degeneracy(node: CnrNode, i: int) -> CnrNode:
 def _bl_ambient(n: int, r: int, i: int) -> Fan:
     """(P^1)^{n+r} with the square in cube coordinates (i, i+1) replaced by
     the six-cone blow-up."""
-    rest = p1_power(n + r - 2)
-    prod = product(standard_fan("Bl_sq"), rest)
-    # coordinates currently: bl pair first; move them to positions i-1, i
-    perm = []
-    bl_positions = [i - 1, i]
-    rest_positions = [k for k in range(n + r) if k not in bl_positions]
-    old_of_new = {}
-    old_of_new[bl_positions[0]] = 0
-    old_of_new[bl_positions[1]] = 1
-    for offset, pos in enumerate(rest_positions):
-        old_of_new[pos] = 2 + offset
-    perm = [old_of_new[k] for k in range(n + r)]
+    prod = product(standard_fan("Bl_sq"), p1_power(n + r - 2))
+    # the blown-up pair comes first: move it to positions i - 1 and i
+    perm = [*range(2, i + 1), 0, 1, *range(i + 1, n + r)]
     return permute_coordinates(prod, perm)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cones import spanning_vectors
 from .fans import (
     Fan,
     is_complete,
@@ -60,9 +61,8 @@ class OpenImmersion:
     def __post_init__(self):
         if self.source.rank != self.target.rank:
             raise SchemeError("open immersion needs a common lattice")
-        for mc in self.source.maximal_cones:
-            if self.target.find_cone(self.source.cone(mc)) is None:
-                raise SchemeError("source is not a subfan of the target")
+        if not _is_subfan(self.source, self.target):
+            raise SchemeError("source is not a subfan of the target")
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,7 @@ def rational_points(fan: Fan):
 
 
 def _dual_monoid(fan: Fan, cone_indices) -> PointedMonoid:
-    lines, rays = fan.cone(cone_indices).dual()
-    gens = list(rays)
-    for l in lines:
-        gens.append(tuple(l))
-        gens.append(tuple(-x for x in l))
+    gens = spanning_vectors(*fan.cone(cone_indices).dual())
     return PointedMonoid(ToricMonoid.from_gens(gens, fan.rank))
 
 

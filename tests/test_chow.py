@@ -348,3 +348,35 @@ def test_cone_memos_are_bounded():
     _basis_rewrite_character(bigger, sigma, sigma[0])
     info = _cone_character.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _external_insert_written_out(cls, position):
+    """``external_insert`` locating each spliced ray in the big fan, as
+    written before it read the indices off ``insert_p1_coordinate``."""
+    fan = cls.fan
+    big = insert_p1_coordinate(fan, position)
+
+    def splice_ray(vec):
+        return tuple(list(vec[:position]) + [0] + list(vec[position:]))
+
+    gens, _, _ = presentation_data(fan, cls.q)
+    coeffs = {}
+    for cone, c in zip(gens, cls.coords):
+        if c == 0:
+            continue
+        new_cone = tuple(sorted(big.ray_index(splice_ray(fan.rays[i])) for i in cone))
+        coeffs[new_cone] = coeffs.get(new_cone, 0) + c
+    return make_class(big, cls.q, coeffs)
+
+
+def test_external_insert_matches_the_written_out_splice():
+    rng = random.Random(2626)
+    fans = [P1, SQ, blowup_of_square(), standard_fan("P^n", 2), p1_power(3)]
+    fans.append(star_subdivide(fans[-1], (0, 2))[0])
+    for fan in fans:
+        for q in range(fan.rank + 1):
+            gens = presentation_data(fan, q)[0]
+            cls = make_class(fan, q, {g: rng.randint(-3, 3) for g in gens})
+            for position in range(fan.rank + 1):
+                want = _external_insert_written_out(cls, position)
+                assert classes_equal(external_insert(cls, position), want), (fan, q, position)

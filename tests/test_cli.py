@@ -384,3 +384,21 @@ def test_sbl_error_is_a_domain_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: SblError:")
+
+
+@pytest.mark.parametrize(
+    "sigma, delta, message",
+    [
+        (Fan.make(2, [(1, 0), (1, 2)], [(0, 1)]), None, "refine requires a smooth first fan"),
+        (
+            standard_fan("A^n", 2),
+            Fan.make(2, [(1, 0), (1, 1)], [(0, 1)]),
+            "refine requires equal supports",
+        ),
+    ],
+)
+def test_refine_reports_a_singular_first_fan_and_unequal_supports(tmp_path, sigma, delta, message):
+    ps = write_fan(tmp_path, sigma, "sigma.json")
+    pd = write_fan(tmp_path, delta or sigma, "delta.json")
+    code, out, err = run_process("refine", ps, pd, "--eta", "")
+    assert (code, out, err) == (1, "", f"error: FanError: {message}\n")

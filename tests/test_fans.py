@@ -45,7 +45,7 @@ from logtoric.fans import (
     support_equal,
 )
 from logtoric.intlinalg import IntMatrix, det, primitive, smith_normal_form
-from logtoric.sbl import enumerate_cnr
+from logtoric.sbl import SblError, enumerate_cnr, face_zero_data
 
 
 def fan2(*ray_cones):
@@ -1559,7 +1559,8 @@ def _prune_nonmaximal(fan):
 
 def _star_quotient_by_dd(fan, sigma_indices):
     """``star_quotient`` through ``Cone``: sigma checked by ``find_cone``,
-    the maximal cones through sigma found by containment, and the images
+    the maximal cones through sigma found by containment, each image cut
+    down to its extreme rays (``Cone.make`` of the images), and the images
     pruned to the maximal ones, the ray correspondence remapped."""
     sigma_indices = tuple(sorted(sigma_indices))
     try:
@@ -1590,7 +1591,8 @@ def _star_quotient_by_dd(fan, sigma_indices):
                     new_rays.append(img)
                 ray_map[i] = new_rays.index(img)
             image.append(ray_map[i])
-        star_cones.append(tuple(sorted(set(image))))
+        extreme = Cone.make([new_rays[k] for k in image], fan.rank - d).rays if image else ()
+        star_cones.append(tuple(sorted({k for k in image if new_rays[k] in extreme})))
     quotient = _prune_nonmaximal(
         Fan.make(fan.rank - d, new_rays, sorted(set(star_cones)), validate=False)
     )
@@ -1655,3 +1657,184 @@ def test_is_cone_and_star_quotient_match_double_description(fan):
         assert fan.is_cone(idx) == (idx in cones) == _is_cone_by_dd(fan, idx), idx
         want = _outcome(_star_quotient_by_dd, fan, idx)
         assert _outcome(star_quotient, fan, idx) == want, idx
+
+
+def test_star_quotient_at_a_corner_of_the_cube_fan():
+    # each square through the corner (1, 1, 1) holds the opposite corner,
+    # whose image lies inside the image of the square: the quotient is P^2
+    # on the images of the three adjacent corners
+    corners = list(itertools.product((1, -1), repeat=3))
+    cube = Fan.make(
+        3, corners,
+        [[i for i, r in enumerate(corners) if r[k] == s] for k in range(3) for s in (1, -1)],
+    )
+    quotient, corr = star_quotient(cube, (0,))
+    assert quotient == Fan(2, ((0, -1), (-1, 0), (1, 1)), ((0, 1), (0, 2), (1, 2)))
+    assert corr == {1: 0, 2: 1, 4: 2}
+    assert is_complete(quotient)
+
+
+# -- shared fan constructions against their written-out walks ----------------
+
+
+def _star_quotient_written_out(fan, sigma_indices):
+    """``star_quotient`` with its own star walk and a linear search for
+    each image ray, as written before the walk was shared with
+    ``face_zero_data``."""
+    sigma_indices = tuple(sorted(sigma_indices))
+    if not fan.is_cone(sigma_indices):
+        raise FanError(f"{sigma_indices} is not a cone of the fan")
+    sigma, sigma_set = fan.cone(sigma_indices), set(sigma_indices)
+    d = sigma.dim
+    if d == 0:
+        return fan, {i: i for i in range(len(fan.rays))}
+    m = IntMatrix.from_rows(sigma.rays).transpose()
+    _, u, _ = smith_normal_form(m)
+    proj_rows = [u.row(i) for i in range(d, fan.rank)]
+    ray_map = {}
+    new_rays = []
+    star_cones = []
+    for mc in fan.maximal_cones:
+        if not sigma_set.issubset(mc):
+            continue
+        image = []
+        for i in mc:
+            img = tuple(dot(r, fan.rays[i]) for r in proj_rows)
+            if all(x == 0 for x in img):
+                continue
+            img = primitive(img)
+            if i not in ray_map:
+                if img not in new_rays:
+                    new_rays.append(img)
+                ray_map[i] = new_rays.index(img)
+            image.append(ray_map[i])
+        star_cones.append(tuple(sorted(set(image))))
+    return Fan.make(fan.rank - d, new_rays, sorted(star_cones)), ray_map
+
+
+def _face_zero_data_written_out(fan, n, r, i):
+    """``sbl.face_zero_data`` with its own star walk, as written before the
+    walk was shared with ``star_quotient``."""
+    if not 1 <= i <= n:
+        raise SblError("face index out of range")
+    coord = i - 1
+    ray = fan.ray_index(tuple(int(k == coord) for k in range(fan.rank)))
+    if ray is None:
+        raise SblError("face left diagram: e_i is not a ray")
+    star = [mc for mc in fan.maximal_cones if ray in mc]
+    rays, lifts, index, place = [], [], {}, {}
+    for mc in star:
+        for j in mc:
+            if j == ray or j in place:
+                continue
+            v = tuple(x for k, x in enumerate(fan.rays[j]) if k != coord)
+            if not any(v):
+                raise SblError("face left diagram: degenerate image ray")
+            v = primitive(v)
+            if v not in index:
+                index[v] = len(rays)
+                rays.append(v)
+                lifts.append(j)
+            place[j] = index[v]
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    remap = {old: new for new, old in enumerate(order)}
+    cones = {tuple(sorted(remap[place[j]] for j in mc if j != ray)) for mc in star}
+    fan_out = Fan.make(fan.rank - 1, [rays[k] for k in order], sorted(cones))
+    return fan_out, tuple(lifts[k] for k in order), ray
+
+
+def _hyperplane_slice_written_out(fan, coord):
+    """``hyperplane_slice`` with its own maximal-cone filter and ray
+    re-indexing, as written before ``cones_within`` and ``restrict``."""
+    if not 0 <= coord < fan.rank:
+        raise FanError("coordinate out of range")
+    keep = {i for i, r in enumerate(fan.rays) if r[coord] == 0}
+    if _unimodular_inverses(fan) is not None:
+        sliced = {tuple(i for i in mc if i in keep) for mc in fan.maximal_cones}
+    else:
+        sliced = [idx for idx in fan.all_cone_indices() if set(idx) <= keep]
+    sets = [(c, set(c)) for c in sliced]
+    maximal = [c for c, s in sets if not any(s < t for _, t in sets)]
+    used = sorted({i for c in maximal for i in c})
+    final_rays = [tuple(x for i, x in enumerate(fan.rays[k]) if i != coord) for k in used]
+    remap = {old: new for new, old in enumerate(used)}
+    return Fan.make(
+        fan.rank - 1, final_rays, sorted(tuple(sorted(remap[i] for i in c)) for c in maximal)
+    )
+
+
+def _insert_p1_coordinate_written_out(fan, position):
+    """``insert_p1_coordinate`` splicing each ray of the product, as
+    written before it became a coordinate permutation."""
+    prod = product(fan, standard_fan("P^n", 1))
+
+    def splice(vec):
+        head = list(vec[: fan.rank])
+        return tuple(head[:position] + [vec[fan.rank]] + head[position:])
+
+    rays = [splice(r) for r in prod.rays]
+    return Fan.make(fan.rank + 1, rays, prod.maximal_cones, validate=False)
+
+
+def _seeded_node_fans():
+    """A seeded sample of the node fans of three diagrams, each enumerated
+    in both center orders."""
+    rng = random.Random(2525)
+    out = []
+    for n, r, depth in ((3, 0, 2), (2, 1, 2), (2, 0, 3)):
+        for reverse_order in (False, True):
+            nodes = enumerate_cnr(n, r, depth, budget=400, reverse_order=reverse_order).nodes
+            out += [(node.fan, n, r) for node in rng.sample(nodes, min(8, len(nodes)))]
+    return out
+
+
+NODE_FANS = _seeded_node_fans()
+
+
+def test_star_walks_match_the_written_out_walks_on_node_fans():
+    assert len({fan for fan, _, _ in NODE_FANS}) >= 40
+    for fan, n, r in NODE_FANS:
+        for i in range(n + 2):
+            want = _outcome(_face_zero_data_written_out, fan, n, r, i)
+            assert _outcome(face_zero_data, fan, n, r, i) == want, (fan, i)
+        for idx in fan.all_cone_indices():
+            if len(idx) <= 2:
+                want = _star_quotient_written_out(fan, idx)
+                assert star_quotient(fan, idx) == want, (fan, idx)
+
+
+@pytest.mark.parametrize("fan", INDEX_SET_FANS)
+def test_star_walks_match_the_written_out_walks_on_index_set_fans(fan):
+    cones, others = _index_sets(fan)
+    for idx in cones + others:
+        want = _outcome(_star_quotient_written_out, fan, idx)
+        got = _outcome(star_quotient, fan, idx)
+        if want is FanError and not fan.is_simplicial():
+            # the written-out walk lists a non-extreme image ray; the shared
+            # walk keeps the extreme ones, as the double description does
+            assert got == _outcome(_star_quotient_by_dd, fan, idx), idx
+        else:
+            assert got == want, idx
+    for i in range(fan.rank + 2):
+        want = _outcome(_face_zero_data_written_out, fan, fan.rank, 0, i)
+        assert _outcome(face_zero_data, fan, fan.rank, 0, i) == want, i
+
+
+@pytest.mark.parametrize("fan", KERNEL_FANS + FALLBACK_FANS + [OVERLAPPING] + INDEX_SET_FANS)
+def test_hyperplane_slice_and_insert_p1_match_the_written_out_constructions(fan):
+    for coord in range(-1, fan.rank + 1):
+        want = _outcome(_hyperplane_slice_written_out, fan, coord)
+        # a Fan compares its cones in order, not only as a set
+        assert _outcome(hyperplane_slice, fan, coord) == want, coord
+    for position in range(fan.rank + 1):
+        want = _outcome(_insert_p1_coordinate_written_out, fan, position)
+        assert _outcome(insert_p1_coordinate, fan, position) == want, position
+
+
+def test_refine_rejects_a_singular_first_fan_and_unequal_supports():
+    singular = Fan.make(2, [(1, 0), (1, 2)], [(0, 1)])
+    with pytest.raises(FanError, match="^refine requires a smooth first fan$"):
+        refine(singular, singular, ())
+    half = fan2(((1, 0), (1, 1)))
+    with pytest.raises(FanError, match="^refine requires equal supports$"):
+        refine(ORTHANT, half, ())

@@ -309,3 +309,74 @@ def test_open_cone_set_matches_the_faces_by_double_description(fan):
         want = _open_cone_set_by_dd(pair)
         assert pair.open_cone_set() == want
         assert pair.interior_ray_indices() == sorted({i for c in want for i in c})
+
+
+# -- subfans on a ray subset against their written-out filters ---------------
+
+
+def _from_boundary_rays_written_out(fan, boundary_ray_indices):
+    boundary = set(boundary_ray_indices)
+    cones = [c for c in fan.all_cone_indices() if not (set(c) & boundary)]
+    maximal = [c for c in cones if not any(set(c) < set(d) for d in cones)]
+    return LogFanPair.make(fan, maximal)
+
+
+def _open_fan_written_out(pair):
+    used = sorted({i for c in pair.open_cones for i in c})
+    remap = {old: new for new, old in enumerate(used)}
+    return Fan.make(
+        pair.fan.rank,
+        [pair.fan.rays[i] for i in used],
+        [tuple(remap[i] for i in c) for c in pair.open_cones],
+    )
+
+
+def _sharpen_written_out(pair):
+    interior = set(pair.interior_ray_indices())
+    keep = [idx for idx in pair.fan.all_cone_indices() if not (set(idx) & interior)]
+    maximal = [c for c in keep if not any(set(c) < set(d) for d in keep)]
+    used = sorted({i for c in maximal for i in c})
+    remap = {old: new for new, old in enumerate(used)}
+    fan = Fan.make(
+        pair.fan.rank,
+        [pair.fan.rays[i] for i in used],
+        [tuple(sorted(remap[i] for i in c)) for c in maximal],
+    )
+    return LogFanPair.full(fan)
+
+
+def _lists_boundary_rays_written_out(pair):
+    """Does ``pair_to_json`` write the pair by its boundary rays: is every
+    cone on the interior rays open?"""
+    interior = set(pair.interior_ray_indices())
+    opens = pair.open_cone_set()
+    return all(c in opens for c in pair.fan.all_cone_indices() if not (set(c) - interior))
+
+
+@pytest.mark.parametrize("fan", _open_part_fans())
+def test_subfans_on_a_ray_subset_match_the_written_out_filters(fan):
+    """The shared ``cones_within`` and ``restrict`` against the filters
+    ``from_boundary_rays``, ``open_fan`` and ``sharpen`` wrote out; a
+    ``Fan`` and a ``LogFanPair`` compare their cones in order."""
+    rng = random.Random(len(fan.rays) + 7)
+    everything = range(len(fan.rays))
+    boundaries = [[], list(everything)] + [
+        rng.sample(everything, k) for k in range(1, len(fan.rays)) for _ in range(2)
+    ]
+    for boundary in boundaries:
+        pair = LogFanPair.from_boundary_rays(fan, boundary)
+        assert pair == _from_boundary_rays_written_out(fan, boundary), boundary
+        assert pair.open_fan() == _open_fan_written_out(pair), boundary
+        assert sharpen(pair) == _sharpen_written_out(pair), boundary
+        assert "boundary_rays" in pair_to_json(pair)
+    cones = fan.all_cone_indices()
+    listed = 0
+    for open_cones in [rng.sample(cones, k) for k in (1, 2, 3) for _ in range(4)]:
+        maximal = [c for c in open_cones if not any(set(c) < set(d) for d in open_cones)]
+        pair = LogFanPair.make(fan, maximal)
+        assert pair.open_fan() == _open_fan_written_out(pair), open_cones
+        assert sharpen(pair) == _sharpen_written_out(pair), open_cones
+        written_out = _lists_boundary_rays_written_out(pair)
+        assert ("boundary_rays" in pair_to_json(pair)) == written_out, open_cones
+        listed += written_out
+    assert 0 < listed < 12

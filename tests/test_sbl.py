@@ -1,14 +1,21 @@
+import pytest
+
 from logtoric import sbl
 from logtoric.fans import (
     Fan,
     is_smooth,
+    p1_power,
+    permute_coordinates,
+    product,
     standard_fan,
     star_subdivide,
     subdivision_witness,
 )
 from logtoric.sbl import (
     CnrNode,
+    SblError,
     allowed_centers,
+    check_node_fan,
     cnr_root,
     degeneracy,
     enumerate_cnr,
@@ -367,3 +374,102 @@ def test_multiplication_delta_identity_spot_check():
         out, _ = multiplication(node, 1)
         back = face_one(out, 1)
         assert back.fan.canonical() == node.fan.canonical()
+
+
+def _square_blown_up_at_the_orthant(n, r):
+    """(P^1)^2 star subdivided at the cone of e1 and e2."""
+    sq = cnr_root(n, r)
+    orthant = tuple(sorted(sq.ray_index(v) for v in ((1, 0), (0, 1))))
+    return star_subdivide(sq, orthant)[0]
+
+
+@pytest.mark.parametrize(
+    "fan, n, r, message",
+    [
+        (cnr_root(2, 0), 1, 0, "rank must be n \\+ r"),
+        (Fan.make(2, [(1, 0), (1, 2)], [(0, 1)]), 2, 0, "node fans must be smooth"),
+        # the new ray (1, 1) is positive in the box coordinate
+        (
+            _square_blown_up_at_the_orthant(1, 1), 1, 1,
+            "a ray violates the box-coordinate condition",
+        ),
+        (_square_blown_up_at_the_orthant(2, 0), 2, 0, "the cube orthant is not a cone of the fan"),
+        # the cone of e2 and -e1-e2 holds -e1 inside: no orthant holds it
+        (standard_fan("P^n", 2), 2, 0, "node fan does not subdivide the root"),
+    ],
+)
+def test_check_node_fan_rejects_each_condition(fan, n, r, message):
+    with pytest.raises(SblError, match=f"^{message}$"):
+        check_node_fan(fan, n, r)
+    with pytest.raises(SblError, match=f"^{message}$"):
+        CnrNode.make(n, r, fan)
+
+
+def _enumerate_cnr_written_out(n, r, depth, budget, reverse_order=False):
+    """``enumerate_cnr`` with its own fan -> index dict beside the
+    diagram's, as written before it built the diagram first: (nodes,
+    parent edges, explored, truncated)."""
+    root = CnrNode.make(n, r, cnr_root(n, r))
+    nodes = [root]
+    index = {root.fan: 0}
+    edges = set()
+    frontier = [0]
+    truncated = False
+    explored = 0
+    for level in range(1, depth + 1):
+        new_frontier = []
+        for parent_i in frontier:
+            parent = nodes[parent_i]
+            centers = allowed_centers(parent.fan, n, r)
+            if reverse_order:
+                centers = list(reversed(centers))
+            for center in centers:
+                explored += 1
+                child_fan, _ = star_subdivide(parent.fan, center)
+                child_fan = child_fan.canonical()
+                if child_fan in index:
+                    edges.add((index[child_fan], parent_i))
+                    continue
+                if len(nodes) >= budget:
+                    truncated = True
+                    continue
+                node = CnrNode(n, r, child_fan, level)
+                nodes.append(node)
+                index[child_fan] = len(nodes) - 1
+                edges.add((index[child_fan], parent_i))
+                new_frontier.append(index[child_fan])
+        frontier = new_frontier
+        if truncated:
+            break
+    return nodes, edges, explored, truncated
+
+
+@pytest.mark.parametrize("reverse_order", [False, True])
+@pytest.mark.parametrize(
+    "n, r, depth, budget",
+    [(2, 0, 3, 10**6), (2, 1, 2, 10**6), (3, 0, 2, 60), (1, 1, 3, 7), (0, 2, 2, 10**6)],
+)
+def test_enumerate_cnr_matches_the_written_out_enumeration(n, r, depth, budget, reverse_order):
+    want = _enumerate_cnr_written_out(n, r, depth, budget, reverse_order)
+    diagram = enumerate_cnr(n, r, depth, budget=budget, reverse_order=reverse_order)
+    got = (diagram.nodes, diagram.parent_edges, diagram.explored, diagram.truncated)
+    assert got == want
+    assert [diagram.node_index(node.fan) for node in diagram.nodes] == list(range(len(want[0])))
+    assert want[3] == (budget < 10**6)
+
+
+def _bl_ambient_written_out(n, r, i):
+    """``sbl._bl_ambient`` with its permutation built position by position."""
+    prod = product(standard_fan("Bl_sq"), p1_power(n + r - 2))
+    bl_positions = [i - 1, i]
+    rest_positions = [k for k in range(n + r) if k not in bl_positions]
+    old_of_new = {i - 1: 0, i: 1}
+    for offset, pos in enumerate(rest_positions):
+        old_of_new[pos] = 2 + offset
+    return permute_coordinates(prod, [old_of_new[k] for k in range(n + r)])
+
+
+def test_bl_ambient_matches_the_written_out_permutation():
+    for n, r in ((2, 0), (3, 0), (2, 1), (4, 1), (3, 2)):
+        for i in range(1, n):
+            assert sbl._bl_ambient(n, r, i) == _bl_ambient_written_out(n, r, i), (n, r, i)
