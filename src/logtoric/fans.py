@@ -47,8 +47,8 @@ Each way of building a fan from another has one implementation.
 maximal cones on a ray subset and ``restrict`` re-indexes the rays they
 use, for ``hyperplane_slice`` and the subfans of ``logpairs``; and
 ``insert_p1_coordinate`` is ``permute_coordinates`` of a ``product``.
-``product`` and ``permute_coordinates`` build fans by construction, so
-they validate their inputs, not their output.
+``product`` builds a fan by construction, so it validates its inputs,
+not its output, and a coordinate permutation of a fan is a fan.
 """
 
 from __future__ import annotations
