@@ -138,13 +138,6 @@ def make_class(fan: Fan, q: int, coeffs) -> ChowClass:
     return _class_of(fan, q, vec)
 
 
-def generator_class(fan: Fan, q: int, j: int) -> ChowClass:
-    """The class of the ``j``-th degree-``q`` generator cone, read off its
-    position with no cone lookup."""
-    size = len(presentation_data(fan, q)[0])
-    return _class_of(fan, q, [int(k == j) for k in range(size)])
-
-
 def zero_class(fan: Fan, q: int) -> ChowClass:
     gens, _, _ = presentation_data(fan, q)
     return ChowClass(fan, q, tuple(0 for _ in gens))

@@ -34,7 +34,7 @@ from itertools import chain
 
 from .abelian import Presentation, kernel_mod_lattice
 from .chow import (
-    generator_class,
+    make_class,
     presentation_data,
     pullback_divisors,
     pullback_subdivision,
@@ -99,10 +99,10 @@ def build_colimit(diagram: CnrDiagram, q: int) -> ColimitGroup:
         cones, node_rows, _ = presentation_data(node.fan, q)
         start = len(gens)
         starts.append(start)
-        for j, cone in enumerate(cones):
+        for cone in cones:
             gen_index[(node_idx, cone)] = len(gens)
             gens.append((node_idx, cone))
-            units.append(generator_class(node.fan, q, j))
+            units.append(make_class(node.fan, q, {cone: 1}))
         rows.extend({start + j: v for j, v in enumerate(row) if v} for row in node_rows)
     for child, parent in diagram.refinement_edges():
         source = diagram.nodes[child].fan

@@ -1047,7 +1047,9 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
 
 def star_quotient(fan: Fan, sigma_indices) -> tuple:
     """The fan V(sigma) in the quotient lattice, with the ray
-    correspondence {fan ray index -> quotient ray index}.
+    correspondence {fan ray index -> quotient ray index}.  The map is
+    partial off the smooth path: a star ray whose image is extreme in no
+    image cone (an opposite corner of the cube fan) has no entry.
 
     Its maximal cones are the images of the maximal cones holding sigma,
     those whose indices hold sigma's.  No image holds another.  Take p in
@@ -1082,7 +1084,8 @@ def star_images(fan: Fan, sigma_indices, image):
     """The images of the star of the cone ``sigma_indices`` under
     ``image``, which maps a ray outside sigma to a primitive vector:
     ``(rays, place, cones)``, the image rays in order of first
-    appearance, {star ray index: index of its image} and, per maximal
+    appearance, {star ray index: index of its image}, with no entry for a
+    star ray whose image is extreme in no image cone, and, per maximal
     cone holding sigma in the fan's order, the sorted indices of its
     image's rays.  Each ray is mapped once.
 
