@@ -17,10 +17,14 @@ I]``).  Membership is then the sign of the coordinates under that
 inverse, faces are the subsets of the maximal cones, subfans on a ray
 subset are the maximal meets of the maximal cones with it, and a star
 subdivision at a face is the combinatorial split ``sigma - {i} + {v}``.
-``is_smooth``, ``is_complete``, ``subdivision_witness``,
-``star_subdivide`` and ``cones_within`` take this path by themselves;
-every other fan (lower dimensional or non-smooth maximal cones) keeps the
-double description of ``cones``, which is also the kernel's test oracle.
+Point location (``_locate``: the maximal cones holding a point and the
+smallest face holding it, for ``Fan.smallest_containing_cone`` and
+``star_subdivide_at_point``), ``is_smooth``, ``is_complete``,
+``subdivision_witness`` and ``cones_within`` take this path by
+themselves; ``star_subdivide`` is its center checks followed by
+``star_subdivide_at_point`` at the center's ray sum.  Every other fan
+(lower dimensional or non-smooth maximal cones) keeps the double
+description of ``cones``, which is also the kernel's test oracle.
 Once ``resolve`` has triangulated, it builds each simplicial maximal cone
 from its sorted rays with no double description, picks each center off
 the worst cone's Smith form by integer coefficient numerators, and splits
@@ -60,7 +64,7 @@ from functools import cache, lru_cache, partial, reduce
 from math import lcm
 from operator import and_, index, mul
 
-from .cones import Cone, dot, saturated_span_basis
+from .cones import Cone, _lattice_point, dot, saturated_span_basis
 from .intlinalg import (
     IntMatrix,
     _echelon,
@@ -210,16 +214,10 @@ class Fan:
         return None
 
     def smallest_containing_cone(self, point):
-        """Ray-index tuple of the smallest cone containing ``point``, or None."""
-        best = None
-        for mc in self.maximal_cones:
-            big = self.cone(mc)
-            if big.contains_point(point):
-                face = big.smallest_face_containing([tuple(point)])
-                idx = tuple(sorted(i for i in mc if face.contains_point(self.rays[i])))
-                if best is None or len(idx) < len(best):
-                    best = idx
-        return best
+        """Ray-index tuple of the smallest cone containing the lattice
+        point ``point``, ``()`` for the zero point, or None outside the
+        support: the center of ``_locate``."""
+        return _locate(self, _lattice_point(point))[0]
 
     def is_simplicial(self) -> bool:
         return all(c.is_simplicial() for c in self.maximal())
@@ -364,6 +362,33 @@ def _holders(fan: Fan, cones=None):
     return holders
 
 
+def _locate(fan: Fan, point):
+    """``(center, holders)``: the maximal cones holding ``point``, a tuple
+    of ints, in the fan's order, and the smallest of its faces in them,
+    the first on ties (None when no cone holds it).  A point's face in a
+    cone is spanned by the rays it needs: on the kernel path, those with
+    a positive coordinate.  In a fan every holder gives the same face; a
+    fan that was never validated may not, and the smallest wins."""
+    table = _unimodular_inverses(fan)
+    center, holders = None, []
+    for j, mc in enumerate(fan.maximal_cones):
+        if table is not None:
+            duals = table[j]
+            if not _in_unimodular(duals, point):
+                continue
+            face = tuple(i for i, w in zip(mc, duals) if sum(map(mul, w, point)))
+        else:
+            big = fan.cone(mc)
+            if not big.contains_point(point):
+                continue
+            span = big.smallest_face_containing([point])
+            face = tuple(i for i in mc if span.contains_point(fan.rays[i]))
+        holders.append(mc)
+        if center is None or len(face) < len(center):
+            center = face
+    return center, holders
+
+
 @lru_cache(maxsize=None)
 def _fan_all_cone_indices(fan: Fan):
     """All cones as sorted ray-index tuples ordered by (length, indices),
@@ -465,96 +490,66 @@ def star_subdivide_at_point(fan: Fan, point) -> tuple:
 
     Every cone containing the point is replaced by joins of the new ray
     with its facets not containing the point.  Returns ``(fan, step)``.
+    A point with a non-integer entry raises ``FanError``; it is never
+    rounded.
+
+    ``_locate`` finds the center and the maximal cones holding the point.
+    On the kernel path a new ray whose holders all hold the center's
+    indices splits by index sets (``_split_at_center``); in a fan every
+    holder does.  Otherwise each holder is split by its facets.
     """
-    point = primitive(point)
-    center = fan.smallest_containing_cone(point)
+    try:
+        point = primitive(tuple(map(index, point)))
+    except TypeError as exc:
+        raise FanError(f"a point must hold integers: {exc}") from exc
+    center, holders = _locate(fan, point)
     if center is None:
         raise FanError(f"point {point} is outside the fan support")
-    step = StarSubdivisionStep(center=center, new_ray=point)
-    if fan.ray_index(point) is not None:
-        if len(center) == 1 and fan.rays[center[0]] == point:
-            existing_ray_mode = True
-        else:
-            raise FanError("new ray already present but not the center ray")
-    else:
-        existing_ray_mode = False
-
-    rays = list(fan.rays)
-    if not existing_ray_mode:
-        rays.append(point)
-    v_idx = rays.index(point)
-
-    new_max = []
-    for mc in fan.maximal_cones:
-        big = fan.cone(mc)
-        if not big.contains_point(point):
-            new_max.append(tuple(mc))
-            continue
+    rays = fan.rays
+    if point not in rays:
+        # a cone whose indices hold the center holds the point, so the
+        # holders are those cones exactly when each holds the center
+        held = set(center)
+        if _unimodular_inverses(fan) is not None and all(map(held.issubset, holders)):
+            return _split_at_center(fan, center, point, holders)
+        rays = rays + (point,)
+    elif len(center) != 1 or rays[center[0]] != point:
+        raise FanError("new ray already present but not the center ray")
+    v = rays.index(point)
+    new_max = [mc for mc in fan.maximal_cones if mc not in holders]
+    for mc in holders:
         ray_of = {fan.rays[i]: i for i in mc}
-        pieces = []
-        for facet in big.facets():
-            if facet.contains_point(point):
-                continue
-            piece = sorted(ray_of[r] for r in facet.rays) + [v_idx]
-            pieces.append(tuple(sorted(piece)))
         # a nonzero point of a strongly convex cone misses some facet
-        new_max.extend(pieces)
+        for facet in fan.cone(mc).facets():
+            if not facet.contains_point(point):
+                new_max.append(tuple(sorted([ray_of[r] for r in facet.rays] + [v])))
     # pieces are full-dimensional inside their parents, so no containments
     # can arise between the new maximal cones; dedup is enough
-    new_max = sorted(set(new_max))
-    out = Fan.make(fan.rank, rays, new_max, validate=False)
-    return out, step
+    out = Fan.make(fan.rank, rays, sorted(set(new_max)), validate=False)
+    return out, StarSubdivisionStep(center=center, new_ray=point)
 
 
-def _star_subdivide_unimodular(fan: Fan, center, table):
-    """``star_subdivide`` read off the kernel table, or None to defer to
-    the generic code (and its error messages).
-
-    The sum ``v`` of part of a lattice basis is primitive, has coordinate
-    1 on each center ray and 0 on the others, so it lies in exactly the
-    maximal cones holding the center, and in each of them splits off the
-    facets that drop one center ray.  Defers when the center is not a set
-    of at least two rays of one maximal cone, and, for fans that were
-    never validated, when ``v`` is a ray already or lies in another
-    maximal cone.
-    """
-    if len(set(center)) != len(center) or len(center) < 2:
-        return None
-    hold = [set(center).issubset(mc) for mc in fan.maximal_cones]
-    if not any(hold):
-        return None
-    point = fan.ray_sum(center)
-    if fan.ray_index(point) is not None or any(
-        _in_unimodular(duals, point) for h, duals in zip(hold, table) if not h
-    ):
-        return None
-    return _split_at_center(fan, center, point)
-
-
-def _split_at_center(fan: Fan, center, point):
+def _split_at_center(fan: Fan, center, point, holders):
     """Star subdivision at the new ray ``point`` read off index sets:
-    with ``v`` the index of ``point``, each maximal cone that holds every
-    ray of ``center`` becomes ``mc - {i} + {v}`` for each center ray
-    ``i``, and every other maximal cone is kept.  Returns ``(fan, step)``.
+    with ``v`` the index of ``point``, each of the maximal cones
+    ``holders``, those that hold every ray of ``center``, becomes ``mc -
+    {i} + {v}`` for each center ray ``i``, and every other maximal cone
+    is kept.  Returns ``(fan, step)``.
 
-    Exact when the maximal cones holding ``center`` are simplicial,
-    ``point`` lies in the relative interior of the cone the center spans
-    and in no other maximal cone: a simplicial cone holding ``point``
-    splits off its facets that miss ``point``, the facets dropping one
-    center ray.  The pieces are full-dimensional inside their parents, so
-    no containments arise between the new maximal cones.
+    Exact when the holders are simplicial, ``point`` lies in the relative
+    interior of the cone the center spans and in no other maximal cone:
+    a simplicial cone holding ``point`` splits off its facets that miss
+    ``point``, the facets dropping one center ray.  The pieces are
+    full-dimensional inside their parents, so no containments arise
+    between the new maximal cones.
 
     The input is a normal fan (ray tuples of ints, sorted index tuples)
     and ``point`` a tuple of ints, so the output ``Fan`` is built as it
     is, with no ``Fan.make`` pass over every ray and cone.
     """
-    center_set = set(center)
     v = len(fan.rays)
-    new_max = set()
-    for mc in fan.maximal_cones:
-        if not center_set.issubset(mc):
-            new_max.add(mc)
-            continue
+    new_max = set(fan.maximal_cones).difference(holders)
+    for mc in holders:
         new_max.update(_split_pieces(mc, center, v).values())
     out = Fan(fan.rank, fan.rays + (point,), tuple(sorted(new_max)))
     return out, StarSubdivisionStep(center=center, new_ray=point)
@@ -567,26 +562,27 @@ def _split_pieces(mc, center, v):
 
 
 def star_subdivide(fan: Fan, center) -> tuple:
-    """Star subdivision relative to the cone with ray indices ``center``.
-
-    The inserted ray is the primitive sum of the center's ray
-    generators.  Returns ``(fan, step)``.
+    """Star subdivision relative to the cone with ray indices ``center``:
+    ``star_subdivide_at_point`` at the primitive sum of the center's rays,
+    once the center is checked to be a cone of dimension >= 2.  Returns
+    ``(fan, step)``.
     """
     center = tuple(sorted(center))
     if any(not 0 <= i < len(fan.rays) for i in center):
         raise FanError(f"center {center} is not a cone of the fan: ray index out of range")
-    table = _unimodular_inverses(fan)
-    if table is not None:
-        out = _star_subdivide_unimodular(fan, center, table)
-        if out is not None:
-            return out
     # fewer than two rays span a cone of dimension < 2; a cone of a fan
     # with two or more rays has dimension >= 2
-    if len(set(center)) < 2:
+    held = set(center)
+    if len(held) < 2:
         raise FanError("star subdivision center must have dimension >= 2")
-    if not fan.is_cone(center):
+    if _unimodular_inverses(fan) is not None:
+        # the faces of a kernel fan are the subsets of its maximal cones
+        is_cone = len(held) == len(center) and any(map(held.issubset, fan.maximal_cones))
+    else:
+        is_cone = fan.is_cone(center)
+    if not is_cone:
         raise FanError(f"center {center} is not a cone of the fan")
-    return star_subdivide_at_point(fan, primitive(fan.ray_sum(center)))
+    return star_subdivide_at_point(fan, fan.ray_sum(center))
 
 
 def replay_steps(fan: Fan, steps) -> Fan:
@@ -596,16 +592,6 @@ def replay_steps(fan: Fan, steps) -> Fan:
 
 
 # -- subdivision predicate ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Subdivision:
-    """Witnessed subdivision: each source maximal cone sits inside its
-    witness cone of the target; for a full subdivision the supports agree."""
-
-    source: Fan
-    target: Fan
-    witness: tuple  # witness[i] = index into target.maximal_cones
 
 
 def _triangulate(cone: Cone):
@@ -720,13 +706,6 @@ def is_subdivision(source: Fan, target: Fan) -> bool:
         if not covers(t, pieces):
             return False
     return True
-
-
-def make_subdivision(source: Fan, target: Fan) -> Subdivision:
-    w = subdivision_witness(source, target)
-    if w is None or not is_subdivision(source, target):
-        raise FanError("not a subdivision")
-    return Subdivision(source, target, w)
 
 
 def support_equal(f: Fan, g: Fan) -> bool:
@@ -879,7 +858,7 @@ def resolve(fan: Fan):
         coeff = {ray_of[r]: n for r, n in zip(cone.rays, nums) if n}
         center = tuple(sorted(coeff))
         holders = [h for h in cones if coeff.keys() <= set(h)]
-        fan, step = _split_at_center(fan, center, point)
+        fan, step = _split_at_center(fan, center, point, holders)
         steps.append(step)
         v = len(fan.rays) - 1
         for h in holders:
@@ -1116,6 +1095,12 @@ def cones_within(fan: Fan, keep):
         cones = {tuple(i for i in mc if i in keep) for mc in fan.maximal_cones}
     else:
         cones = [c for c in fan.all_cone_indices() if keep.issuperset(c)]
+    return _maximal_index_sets(cones)
+
+
+def _maximal_index_sets(cones):
+    """The index tuples of ``cones`` that lie in no other, ordered by
+    (length, indices)."""
     sets = [(c, set(c)) for c in cones]
     maximal = [c for c, s in sets if not any(s < t for _, t in sets)]
     return sorted(maximal, key=lambda c: (len(c), c))

@@ -84,13 +84,11 @@ def primitive(vec):
 
     The zero vector has no primitive representative.
     """
-    vec = tuple(int(x) for x in vec)
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    vec = tuple(map(int, vec))
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("nonzero required")
-    return tuple(x // g for x in vec)
+    return vec if g == 1 else tuple(x // g for x in vec)
 
 
 def _swap_rows(m, i, j):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .cones import Cone, extreme_description, spanning_vectors
 from .fans import (
     Fan,
+    _maximal_index_sets,
     cones_within,
     fan_from_json,
     is_partial_subdivision,
@@ -93,13 +94,6 @@ class LogFanPair:
 
     def boundary_rays(self):
         return [self.fan.rays[i] for i in self.boundary_ray_indices()]
-
-    def canonical_key(self):
-        fan = self.fan.canonical()
-        order = sorted(range(len(self.fan.rays)), key=lambda i: self.fan.rays[i])
-        remap = {old: new for new, old in enumerate(order)}
-        opens = tuple(sorted(tuple(sorted(remap[i] for i in c)) for c in self.open_cones))
-        return (fan, opens)
 
 
 def box_pair(n: int = 1) -> LogFanPair:
@@ -233,16 +227,14 @@ def pullback_dividing(m: DividingCover, g: FanMap, g_source_pair: LogFanPair) ->
 
 
 def _transfer_open_cones(base_pair: LogFanPair, new_fan: Fan):
-    """Open cones of the pullback: cones of the new fan lying inside open
-    cones of the base pair (the open locus is preserved by a dividing
-    cover base change)."""
-    opens = []
+    """Open cones of the pullback: the maximal ones among the cones of the
+    new fan lying inside open cones of the base pair (the open locus is
+    preserved by a dividing cover base change)."""
     base_open = [base_pair.fan.cone(c) for c in base_pair.open_cones]
-    for idx in new_fan.all_cone_indices():
-        c = new_fan.cone(idx)
-        if any(o.contains_cone(c) for o in base_open):
-            opens.append(idx)
-    return [c for c in opens if not any(set(c) < set(d) for d in opens)]
+    cones = ((idx, new_fan.cone(idx)) for idx in new_fan.all_cone_indices())
+    return _maximal_index_sets(
+        idx for idx, c in cones if any(o.contains_cone(c) for o in base_open)
+    )
 
 
 def _fiber_pullback_fan(upstairs: Fan, h: IntMatrix, base: Fan) -> Fan:

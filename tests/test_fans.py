@@ -15,6 +15,7 @@ from logtoric.cones import Cone, dot
 from logtoric.fans import (
     Fan,
     FanError,
+    StarSubdivisionStep,
     _certified_complete,
     _dual_basis,
     _holders,
@@ -31,7 +32,6 @@ from logtoric.fans import (
     is_partial_subdivision,
     is_smooth,
     is_subdivision,
-    make_subdivision,
     p1_power,
     product,
     refine,
@@ -316,10 +316,10 @@ def test_subdivision_predicates():
     sub = Fan.make(2, [(1, 0), (0, 1)], [(0, 1)])
     assert is_partial_subdivision(sub, p1_power(2))
     assert not is_subdivision(sub, p1_power(2))
-    s = make_subdivision(out, p1_power(2))
-    for i, j in enumerate(s.witness):
-        assert s.target.cone(s.target.maximal_cones[j]).contains_cone(
-            s.source.cone(s.source.maximal_cones[i])
+    witness = subdivision_witness(out, p1_power(2))
+    for i, j in enumerate(witness):
+        assert p1_power(2).cone(p1_power(2).maximal_cones[j]).contains_cone(
+            out.cone(out.maximal_cones[i])
         )
 
 
@@ -646,15 +646,53 @@ def _faces_by_dd(fan):
 
 def _star_subdivide_by_dd(fan, center):
     """``star_subdivide`` through ``Cone``: the center must be a cone of
-    dimension >= 2, then its primitive ray sum is inserted as a point."""
+    dimension >= 2, then its primitive ray sum is inserted as a point by
+    the facet walk, written out: the smallest face holding the point over
+    all maximal cones that hold it is the step's center, and each of those
+    cones is replaced by the joins of the new ray with its facets that
+    miss the point."""
     try:
         cone = fan.cone(center)
     except IndexError:
         raise FanError("not a center") from None
     if cone.dim < 2 or fan.find_cone(cone) != center:
         raise FanError("not a center")
-    total = [sum(fan.rays[i][k] for i in center) for k in range(fan.rank)]
-    return star_subdivide_at_point(fan, primitive(total))
+    point = primitive([sum(fan.rays[i][k] for i in center) for k in range(fan.rank)])
+    step_center = _smallest_containing_cone_by_dd(fan, point)
+    if point in fan.rays:
+        if step_center != (fan.rays.index(point),):
+            raise FanError("new ray already present but not the center ray")
+        rays = list(fan.rays)
+    else:
+        rays = list(fan.rays) + [point]
+    v = rays.index(point)
+    new_max = []
+    for mc in fan.maximal_cones:
+        big = fan.cone(mc)
+        if not big.contains_point(point):
+            new_max.append(mc)
+            continue
+        ray_of = {fan.rays[i]: i for i in mc}
+        for facet in big.facets():
+            if not facet.contains_point(point):
+                new_max.append(tuple(sorted([ray_of[r] for r in facet.rays] + [v])))
+    out = Fan.make(fan.rank, rays, sorted(set(new_max)), validate=False)
+    return out, StarSubdivisionStep(center=step_center, new_ray=point)
+
+
+def _smallest_containing_cone_by_dd(fan, point):
+    """The ray indices of the smallest face holding ``point`` among all
+    maximal cones that hold it, the first of the smallest on ties, or
+    None."""
+    best = None
+    for mc in fan.maximal_cones:
+        big = fan.cone(mc)
+        if big.contains_point(point):
+            face = big.smallest_face_containing([tuple(point)])
+            idx = tuple(i for i in mc if face.contains_point(fan.rays[i]))
+            if best is None or len(idx) < len(best):
+                best = idx
+    return best
 
 
 def _slice_by_dd(fan, coord):
@@ -758,6 +796,33 @@ def test_star_subdivide_rejects_an_out_of_range_center(center):
     for fan in (p1_power(3), FALLBACK_FANS[1]):
         with pytest.raises(FanError, match="out of range"):
             star_subdivide(fan, center)
+
+
+@pytest.mark.parametrize("fan", KERNEL_FANS + FALLBACK_FANS + [OVERLAPPING])
+def test_smallest_containing_cone_matches_double_description(fan):
+    for x in itertools.product(range(-2, 3), repeat=fan.rank):
+        assert fan.smallest_containing_cone(x) == _smallest_containing_cone_by_dd(fan, x), x
+
+
+def test_smallest_containing_cone_of_zero_outside_and_overlapping_points():
+    for fan in KERNEL_FANS + FALLBACK_FANS + [OVERLAPPING]:
+        assert fan.smallest_containing_cone((0,) * fan.rank) == ()
+    assert standard_fan("A^n", 3).smallest_containing_cone((1, -1, 0)) is None
+    assert FALLBACK_FANS[0].smallest_containing_cone((0, 0, -1)) is None
+    # (1, 1) lies inside the cone (0, 1) and is the ray 2 of the cone (0, 2):
+    # the smallest face over all holders wins, not the first holder's
+    for x in ((1, 1), (2, 2)):
+        assert OVERLAPPING.smallest_containing_cone(x) == (2,)
+
+
+@pytest.mark.parametrize("point", [(1.5, 1), (Fraction(3, 2), 1), (1.0, 1)])
+def test_a_non_integer_point_is_rejected_not_rounded(point):
+    # a smooth fan and one off the kernel path
+    for fan in (p1_power(2), Fan.make(2, [(1, 0), (1, 2)], [(0, 1)])):
+        with pytest.raises(FanError, match="a point must hold integers"):
+            star_subdivide_at_point(fan, point)
+        with pytest.raises(ValueError, match="a point must hold integers"):
+            fan.smallest_containing_cone(point)
 
 
 def test_cones_shared_by_two_fans_share_their_dual_basis():
