@@ -5,6 +5,10 @@ carries a provenance header (tool version, command, parameters, seed)
 and contains only exact integers and strings; identical configurations
 produce byte-identical output.  The environment variable
 LOGTORIC_NODE_BUDGET caps diagram enumeration.
+
+Each ``cmd_*`` maps the parsed arguments to its payload dict and does
+nothing else.  ``main`` alone stamps the provenance, writes the artifact
+(stdout or ``-o``) and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -22,16 +26,7 @@ from .complexes import (
     homology,
     homology_generators,
 )
-from .fans import (
-    Fan,
-    FanError,
-    fan_from_json,
-    fan_to_json,
-    is_complete,
-    is_smooth,
-    refine,
-    resolve,
-)
+from .fans import FanError, fan_from_json, fan_to_json, is_complete, is_smooth, refine, resolve
 from .logpairs import LogPairError, is_smlsm, pair_from_json, pair_to_json, smlsmify
 from .monoids import MonoidError, check_base
 from .sbl import SblError, node_budget
@@ -42,27 +37,23 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path):
+def _load(path, parse):
+    """``parse`` of the JSON in ``path``; a read, JSON or parse failure is
+    an InputError naming the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
         ) from exc
-
-
-def _load_fan(path) -> Fan:
-    data = _load_json(path)
-    try:
-        return fan_from_json(data)
-    except FanError as exc:
+    except (FanError, LogPairError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _provenance(args, command):
+def _provenance(args):
     params = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -71,15 +62,15 @@ def _provenance(args, command):
     return {
         "tool": "logtoric",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "parameters": params,
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed,
     }
 
 
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         try:
             with open(args.output, "w") as fh:
                 fh.write(text)
@@ -95,17 +86,12 @@ def _steps_json(steps):
     ]
 
 
-# -- subcommands -----------------------------------------------------------
+# -- subcommands: parsed args -> payload -----------------------------------
 
 
-def cmd_fan_check(args) -> int:
-    data = _load_json(args.input)
-    try:
-        fan = fan_from_json(data)
-    except FanError as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
-    report = {
-        "provenance": _provenance(args, "fan-check"),
+def cmd_fan_check(args):
+    fan = _load(args.input, fan_from_json)
+    return {
         "rank": fan.rank,
         "rays": len(fan.rays),
         "maximal_cones": len(fan.maximal_cones),
@@ -113,23 +99,15 @@ def cmd_fan_check(args) -> int:
         "complete": is_complete(fan),
         "invariants": "ok",
     }
-    _emit(args, report)
-    return 0
 
 
-def cmd_resolve(args) -> int:
-    fan = _load_fan(args.input)
-    out, steps = resolve(fan)
-    _emit(
-        args,
-        {
-            "provenance": _provenance(args, "resolve"),
-            "fan": fan_to_json(out),
-            "steps": _steps_json(steps),
-            "smooth": is_smooth(out),
-        },
-    )
-    return 0
+def cmd_resolve(args):
+    out, steps = resolve(_load(args.input, fan_from_json))
+    return {
+        "fan": fan_to_json(out),
+        "steps": _steps_json(steps),
+        "smooth": is_smooth(out),
+    }
 
 
 def _parse_eta(text, n_rays):
@@ -146,73 +124,37 @@ def _parse_eta(text, n_rays):
     return eta
 
 
-def cmd_refine(args) -> int:
-    sigma = _load_fan(args.sigma)
-    delta = _load_fan(args.delta)
-    eta = _parse_eta(args.eta, len(sigma.rays))
-    out, steps = refine(sigma, delta, eta)
-    _emit(
-        args,
-        {
-            "provenance": _provenance(args, "refine"),
-            "fan": fan_to_json(out),
-            "steps": _steps_json(steps),
-        },
-    )
-    return 0
+def cmd_refine(args):
+    sigma = _load(args.sigma, fan_from_json)
+    delta = _load(args.delta, fan_from_json)
+    out, steps = refine(sigma, delta, _parse_eta(args.eta, len(sigma.rays)))
+    return {"fan": fan_to_json(out), "steps": _steps_json(steps)}
 
 
-def cmd_smlsmify(args) -> int:
-    data = _load_json(args.input)
-    try:
-        pair = pair_from_json(data)
-    except (LogPairError, FanError) as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
-    out, blowup = smlsmify(pair)
-    _emit(
-        args,
-        {
-            "provenance": _provenance(args, "smlsmify"),
-            "pair": pair_to_json(out),
-            "steps": _steps_json(blowup.steps),
-            "smlsm": is_smlsm(out),
-        },
-    )
-    return 0
+def cmd_smlsmify(args):
+    out, blowup = smlsmify(_load(args.input, pair_from_json))
+    return {
+        "pair": pair_to_json(out),
+        "steps": _steps_json(blowup.steps),
+        "smlsm": is_smlsm(out),
+    }
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args):
     try:
         check_base(args.base)
     except MonoidError as exc:
         raise InputError(f"--base: {exc}") from exc
-    fan = _load_fan(args.input)
-    atlas = realize_scheme(fan, args.base)
-    _emit(
-        args,
-        {
-            "provenance": _provenance(args, "realize"),
-            "atlas": atlas,
-        },
-    )
-    return 0
+    return {"atlas": realize_scheme(_load(args.input, fan_from_json), args.base)}
 
 
-def cmd_chow(args) -> int:
-    fan = _load_fan(args.input)
-    degrees = [args.q] if args.q is not None else list(range(fan.rank + 1))
+def cmd_chow(args):
+    fan = _load(args.input, fan_from_json)
     rows = []
-    for q in degrees:
+    for q in [args.q] if args.q is not None else range(fan.rank + 1):
         g = chow_presentation(fan, q)
         rows.append({"q": q, "rank": g.rank, "torsion": list(g.torsion)})
-    _emit(
-        args,
-        {
-            "provenance": _provenance(args, "chow"),
-            "groups": rows,
-        },
-    )
-    return 0
+    return {"groups": rows}
 
 
 def _keyed_to_json(keyed):
@@ -244,12 +186,11 @@ def _check_logchow_args(args):
         raise InputError(str(exc)) from exc
 
 
-def cmd_logchow(args) -> int:
+def cmd_logchow(args):
     _check_logchow_args(args)
     cx = build_complex(args.q, args.r, args.nmax, args.depth)
     hs = homology(cx)
     payload = {
-        "provenance": _provenance(args, "logchow"),
         "truncated": cx.truncated,
         "diagram_nodes": [len(d.nodes) for d in cx.diagrams],
         "chain_groups": [
@@ -284,8 +225,7 @@ def cmd_logchow(args) -> int:
             }
             for cycle, report in zip(cycles, reports)
         ]
-    _emit(args, payload)
-    return 0
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,58 +236,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="recorded in provenance")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fan-check", help="validate a fan file and report predicates")
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_fan_check)
+    def command(name, func, summary, *inputs):
+        p = sub.add_parser(name, help=summary)
+        for arg in inputs:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("resolve", help="smooth subdivision by star subdivisions")
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("refine", help="refine a smooth fan against another fan")
-    p.add_argument("sigma")
-    p.add_argument("delta")
+    command("fan-check", cmd_fan_check, "validate a fan file and report predicates", "input")
+    command("resolve", cmd_resolve, "smooth subdivision by star subdivisions", "input")
+    p = command("refine", cmd_refine, "refine a smooth fan against another fan", "sigma", "delta")
     p.add_argument("--eta", default="", help="comma-separated ray indices of the protected cone")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_refine)
-
-    p = sub.add_parser("smlsmify", help="make a smooth log pair SmlSm")
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_smlsmify)
-
-    p = sub.add_parser("realize", help="chart atlas of ring presentations")
-    p.add_argument("input")
+    command("smlsmify", cmd_smlsmify, "make a smooth log pair SmlSm", "input")
+    p = command("realize", cmd_realize, "chart atlas of ring presentations", "input")
     p.add_argument("--base", default="Z")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_realize)
-
-    p = sub.add_parser("chow", help="per-degree Chow group ranks and torsion")
-    p.add_argument("input")
+    p = command("chow", cmd_chow, "per-degree Chow group ranks and torsion", "input")
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_chow)
-
-    p = sub.add_parser("logchow", help="normalized cubical Chow complex")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p = command("logchow", cmd_logchow, "normalized cubical Chow complex")
+    for flag in ("--q", "--r", "--nmax", "--depth"):
+        p.add_argument(flag, type=int, required=True)
     p.add_argument("--search-depth", type=int, default=None)
     p.add_argument("--dump-diagrams", action="store_true")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_logchow)
 
+    # last in every subcommand, after its own arguments, as --help shows it
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        _emit(args, {"provenance": _provenance(args), **payload})
+        return 0
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

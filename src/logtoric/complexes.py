@@ -251,7 +251,9 @@ def _assert_descends(colim_n: ColimitGroup, images, colim_prev: ColimitGroup):
 def _coordinates(basis, targets, message, lattice=()):
     """Coordinates of each target on ``basis`` modulo ``lattice``, from one
     factorization; raises ComplexError(message) if a target is no such
-    combination."""
+    combination.  No target needs no factorization."""
+    if not targets:
+        return []
     solver = LatticeSolver(basis, lattice)
     out = []
     for target in targets:

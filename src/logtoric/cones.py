@@ -24,13 +24,23 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _lattice_point(x):
-    """``x`` as a tuple of ints; a float, ``Fraction`` or string entry
-    raises ``ValueError``, as in ``Cone.make``, and is never truncated."""
+def _lattice_point(x, n):
+    """``x`` as a tuple of ``n`` ints; a float, ``Fraction`` or string
+    entry raises ``ValueError``, as in ``Cone.make``, and is never
+    truncated, and so does a length other than ``n``."""
     try:
-        return tuple(map(index, x))
+        x = tuple(map(index, x))
     except TypeError as exc:
         raise ValueError(f"a point must hold integers: {exc}") from exc
+    if len(x) != n:
+        raise ValueError(f"a point must have length {n}, got {len(x)}")
+    return x
+
+
+def _in_dual(duals, x):
+    """Is ``x`` in the cone whose dual is ``duals = (lines, rays)``?"""
+    dlines, drays = duals
+    return all(dot(l, x) == 0 for l in dlines) and all(dot(r, x) >= 0 for r in drays)
 
 
 def _primitive_or_zero(vec):
@@ -214,16 +224,14 @@ class Cone:
         return _dual_description(self.rays, self.ambient)
 
     def contains_point(self, x) -> bool:
-        x = _lattice_point(x)
-        dlines, drays = self.dual()
-        return all(dot(l, x) == 0 for l in dlines) and all(dot(r, x) >= 0 for r in drays)
+        return _in_dual(self.dual(), _lattice_point(x, self.ambient))
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains_point(r) for r in other.rays)
 
     def interior_contains(self, x) -> bool:
         """Is ``x`` in the relative interior?"""
-        x = _lattice_point(x)
+        x = _lattice_point(x, self.ambient)
         dlines, drays = self.dual()
         return all(dot(l, x) == 0 for l in dlines) and all(dot(r, x) > 0 for r in drays)
 

@@ -21,7 +21,9 @@ Point location (``_locate``: the maximal cones holding a point and the
 smallest face holding it, for ``Fan.smallest_containing_cone`` and
 ``star_subdivide_at_point``), ``is_smooth``, ``is_complete``,
 ``subdivision_witness`` and ``cones_within`` take this path by
-themselves; ``star_subdivide`` is its center checks followed by
+themselves; ``_containers`` (the maximal cones holding every point of a
+set, as a bit mask) serves the subdivision predicates and the fan maps
+of ``schemes``; ``star_subdivide`` is its center checks followed by
 ``star_subdivide_at_point`` at the center's ray sum.  Every other fan
 (lower dimensional or non-smooth maximal cones) keeps the double
 description of ``cones``, which is also the kernel's test oracle.
@@ -60,7 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from math import lcm
 from operator import and_, index, mul
 
@@ -217,7 +219,7 @@ class Fan:
         """Ray-index tuple of the smallest cone containing the lattice
         point ``point``, ``()`` for the zero point, or None outside the
         support: the center of ``_locate``."""
-        return _locate(self, _lattice_point(point))[0]
+        return _locate(self, _lattice_point(point, self.rank))[0]
 
     def is_simplicial(self) -> bool:
         return all(c.is_simplicial() for c in self.maximal())
@@ -344,22 +346,39 @@ def _in_unimodular(duals, x) -> bool:
     return True
 
 
-def _holders(fan: Fan, cones=None):
-    """``holders(x)``: the maximal cones of ``fan`` that contain the point
-    ``x``, as a bit mask (bit j for cone j), memoized per point.  Each
-    (cone, point) membership is tested once.  ``cones`` is
-    ``fan.maximal()`` when the caller has built it already."""
+def _containers(fan: Fan, cones=None):
+    """``containers(points)``: the maximal cones of ``fan`` that hold every
+    point of ``points`` (tuples), as a bit mask (bit j for cone j; every
+    cone for no point).  Each (cone, point) membership is tested once per
+    helper: the holders of a point are memoized.  ``cones`` is
+    ``fan.maximal()`` when the caller has built it already.
+
+    In a fan, the ray u_j lies in a simplicial maximal cone exactly when j
+    is one of its indices.  So when ``_certified_complete(fan)`` vouches
+    that ``fan`` is a fan, its rays take their holders from the cones'
+    index sets, and only other points are located."""
     table = _unimodular_inverses(fan)
     if table is not None:
         tests = [partial(_in_unimodular, duals) for duals in table]
     else:
         tests = [c.contains_point for c in cones or fan.maximal()]
+    memo = {}  # point -> holder mask
+    if _certified_complete(fan):
+        for j, mc in enumerate(fan.maximal_cones):
+            for i in mc:
+                memo[fan.rays[i]] = memo.get(fan.rays[i], 0) | 1 << j
+    every = (1 << len(fan.maximal_cones)) - 1
 
-    @cache  # local to the caller
     def holders(x):
-        return sum(1 << j for j, test in enumerate(tests) if test(x))
+        mask = memo.get(x)
+        if mask is None:
+            mask = memo[x] = sum(1 << j for j, test in enumerate(tests) if test(x))
+        return mask
 
-    return holders
+    def containers(points):
+        return reduce(and_, map(holders, points), every)
+
+    return containers
 
 
 def _locate(fan: Fan, point):
@@ -448,11 +467,8 @@ def is_complete(fan: Fan) -> bool:
         if any(c.dim != fan.rank for c in cones):
             return False
         facets = (facet.rays for c in cones for facet in c.facets())
-    holders = _holders(fan, cones)
-    every = (1 << len(fan.maximal_cones)) - 1
-    return all(
-        reduce(and_, map(holders, facet), every).bit_count() == 2 for facet in facets
-    )
+    containers = _containers(fan, cones)
+    return all(containers(facet).bit_count() == 2 for facet in facets)
 
 
 def crosses(tau: Cone, fan: Fan, cones=None) -> bool:
@@ -490,8 +506,8 @@ def star_subdivide_at_point(fan: Fan, point) -> tuple:
 
     Every cone containing the point is replaced by joins of the new ray
     with its facets not containing the point.  Returns ``(fan, step)``.
-    A point with a non-integer entry raises ``FanError``; it is never
-    rounded.
+    A point with a non-integer entry or of a length other than the rank
+    raises ``FanError``; it is never rounded.
 
     ``_locate`` finds the center and the maximal cones holding the point.
     On the kernel path a new ray whose holders all hold the center's
@@ -499,9 +515,10 @@ def star_subdivide_at_point(fan: Fan, point) -> tuple:
     holder does.  Otherwise each holder is split by its facets.
     """
     try:
-        point = primitive(tuple(map(index, point)))
-    except TypeError as exc:
-        raise FanError(f"a point must hold integers: {exc}") from exc
+        point = _lattice_point(point, fan.rank)
+    except ValueError as exc:
+        raise FanError(str(exc)) from exc
+    point = primitive(point)
     center, holders = _locate(fan, point)
     if center is None:
         raise FanError(f"point {point} is outside the fan support")
@@ -658,26 +675,14 @@ def subdivision_witness(source: Fan, target: Fan):
     contains it, or None if some cone has no container (then source is
     not even a partial subdivision of target).
 
-    A target cone contains a source cone when it holds each of its rays;
-    each (target cone, source ray) membership is tested once, not once
-    per source cone through the ray.  In a fan, the ray u_j lies in a
-    simplicial maximal cone exactly when j is one of its indices.  So
-    when ``_certified_complete(target)`` vouches that the target is a
-    fan, a source ray that is a target ray takes its holders from the
-    cones' index sets, and only the other rays are located."""
+    A target cone contains a source cone when it holds each of its rays
+    (``_containers``)."""
     if source.rank != target.rank:
         return None
-    holders = _holders(target)
-    known = {}  # target ray -> its holder mask, when read off the indices
-    if _certified_complete(target):
-        for c, mc in enumerate(target.maximal_cones):
-            for j in mc:
-                known[target.rays[j]] = known.get(target.rays[j], 0) | 1 << c
-    every = (1 << len(target.maximal_cones)) - 1
+    containers = _containers(target)
     witness = []
     for mc in source.maximal_cones:
-        rays = (source.rays[k] for k in mc)
-        mask = reduce(and_, (known.get(u) or holders(u) for u in rays), every)
+        mask = containers(source.rays[k] for k in mc)
         if not mask:
             return None
         witness.append((mask & -mask).bit_length() - 1)  # the first container
@@ -700,10 +705,11 @@ def is_subdivision(source: Fan, target: Fan) -> bool:
         return False
     if is_complete(source) or is_complete(target):
         return is_complete(source) and is_complete(target)
-    scones = source.maximal()
-    for t in target.maximal():
-        pieces = [c for c in scones if t.contains_cone(c)]
-        if not covers(t, pieces):
+    scones, tcones = source.maximal(), target.maximal()
+    containers = _containers(target, tcones)
+    masks = [containers(source.rays[k] for k in mc) for mc in source.maximal_cones]
+    for j, t in enumerate(tcones):
+        if not covers(t, [c for c, mask in zip(scones, masks) if mask >> j & 1]):
             return False
     return True
 

@@ -251,26 +251,13 @@ def _fiber_pullback_fan(upstairs: Fan, h: IntMatrix, base: Fan) -> Fan:
             lines, rays = extreme_description(ineqs, base.rank)
             if lines:
                 raise LogPairError("pullback cone is not strongly convex")
-            if rays:
-                pieces.add(Cone.make(rays, base.rank))
-            else:
-                pieces.add(Cone.zero(base.rank))
-    # keep maximal pieces, rebuild a fan
-    pieces = list(pieces)
-    keep = [
-        c
-        for c in pieces
-        if not any(d != c and d.contains_cone(c) for d in pieces)
-    ]
-    rays = []
-    for c in keep:
-        for r in c.rays:
-            if r not in rays:
-                rays.append(r)
-    rays.sort()
-    idx = {r: i for i, r in enumerate(rays)}
-    cones = sorted(tuple(sorted(idx[r] for r in c.rays)) for c in keep)
-    return Fan.make(base.rank, rays, cones)
+            pieces.add(Cone.make(rays, base.rank).rays if rays else ())
+    # the pieces are the cones of one fan, so one lies in another exactly
+    # when its rays do
+    used = sorted({r for piece in pieces for r in piece})
+    idx = {r: i for i, r in enumerate(used)}
+    cones = sorted(_maximal_index_sets({tuple(idx[r] for r in piece) for piece in pieces}))
+    return Fan.make(base.rank, used, cones)
 
 
 def alpha_set(pair: LogFanPair):

@@ -13,8 +13,17 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import index
 
-from .cones import Cone, _dual_description, dot, generated_description, spanning_vectors
+from .cones import (
+    Cone,
+    _dual_description,
+    _in_dual,
+    _lattice_point,
+    dot,
+    generated_description,
+    spanning_vectors,
+)
 from .fans import _triangulate, fundamental_points
 from .intlinalg import (
     IntMatrix,
@@ -43,7 +52,10 @@ class ToricMonoid:
 
     @staticmethod
     def from_gens(gens, rank) -> "ToricMonoid":
-        gens = [tuple(int(x) for x in g) for g in gens]
+        try:
+            gens = [tuple(map(index, g)) for g in gens]
+        except TypeError as exc:
+            raise MonoidError(f"generators must be integer vectors: {exc}") from exc
         for g in gens:
             if len(g) != rank:
                 raise MonoidError("generator length differs from rank")
@@ -70,11 +82,7 @@ class ToricMonoid:
         return _dual_description(tuple(self.generators_of_cone()), self.rank)
 
     def contains(self, x) -> bool:
-        x = tuple(int(v) for v in x)
-        dlines, drays = self.dual_description()
-        return all(dot(l, x) == 0 for l in dlines) and all(
-            dot(r, x) >= 0 for r in drays
-        )
+        return _in_dual(self.dual_description(), _lattice_point(x, self.rank))
 
     def hilbert_basis(self):
         """Minimal generating set: ± unit basis plus the irreducible
@@ -120,13 +128,7 @@ def _pointed_hilbert_basis(gens, rank):
     for piece in _triangulate(cone):
         for pt, _ in fundamental_points(piece):
             candidates.add(pt)
-    dlines, drays = cone.dual()
-
-    def member(x):
-        return all(dot(l, x) == 0 for l in dlines) and all(
-            dot(r, x) >= 0 for r in drays
-        )
-
+    duals = cone.dual()
     basis = []
     for x in sorted(candidates):
         reducible = False
@@ -134,7 +136,7 @@ def _pointed_hilbert_basis(gens, rank):
             if y == x:
                 continue
             z = tuple(a - b for a, b in zip(x, y))
-            if any(z) and member(z):
+            if any(z) and _in_dual(duals, z):
                 reducible = True
                 break
         if not reducible:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .cones import spanning_vectors
 from .fans import (
     Fan,
+    _containers,
     is_complete,
     is_subdivision,
     star_quotient,
@@ -42,12 +43,9 @@ class FanMap:
     def __post_init__(self):
         if self.matrix.rows != self.target.rank or self.matrix.cols != self.source.rank:
             raise SchemeError("lattice map has wrong shape")
+        containers = _containers(self.target)
         for mc in self.source.maximal_cones:
-            imgs = [self.matrix.apply(self.source.rays[i]) for i in mc]
-            imgs = [v for v in imgs if any(v)]
-            if not any(
-                all(t.contains_point(v) for v in imgs) for t in self.target.maximal()
-            ):
+            if not containers(self.matrix.apply(self.source.rays[i]) for i in mc):
                 raise SchemeError(f"source cone {mc} has no containing target cone")
 
 
@@ -161,16 +159,12 @@ def scheme_image(m):
     if isinstance(m, FanMap):
         charts = {}
         mt = m.matrix.transpose()
-        for mc in m.target.maximal_cones:
-            preimage_nonempty = any(
-                all(
-                    m.target.cone(mc).contains_point(m.matrix.apply(m.source.rays[i]))
-                    or not any(m.matrix.apply(m.source.rays[i]))
-                    for i in smc
-                )
-                for smc in m.source.maximal_cones
-            )
-            if not preimage_nonempty:
+        containers = _containers(m.target)
+        held = 0  # the target cones that hold some source cone: a nonempty preimage
+        for smc in m.source.maximal_cones:
+            held |= containers(m.matrix.apply(m.source.rays[i]) for i in smc)
+        for j, mc in enumerate(m.target.maximal_cones):
+            if not held >> j & 1:
                 continue
             dual_monoid = _dual_monoid(m.target, mc).monoid
             charts[mc] = sorted(

@@ -402,3 +402,31 @@ def test_refine_reports_a_singular_first_fan_and_unequal_supports(tmp_path, sigm
     pd = write_fan(tmp_path, delta or sigma, "delta.json")
     code, out, err = run_process("refine", ps, pd, "--eta", "")
     assert (code, out, err) == (1, "", f"error: FanError: {message}\n")
+
+
+def _cli_golden():
+    return json.loads((Path(__file__).parent / "golden" / "cli_sha256.json").read_text())
+
+
+@pytest.fixture
+def golden_inputs(tmp_path, monkeypatch):
+    # the provenance records the input names as given, so run in the
+    # directory of the inputs and pass their relative names
+    for name, data in _cli_golden()["inputs"].items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("row", _cli_golden()["rows"], ids=lambda row: " ".join(row["argv"]))
+def test_subcommand_bytes_golden(golden_inputs, capsys, row):
+    code, out = run(capsys, *row["argv"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (row["exit"], row["sha256"])
+
+
+def test_output_file_holds_exactly_the_stdout_bytes(golden_inputs, capsys):
+    argv = ["refine", "p1xp1.json", "p2.json", "--eta", "0,1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "-o", "out.json") == (0, "")
+    assert (golden_inputs / "out.json").read_bytes() == out.encode()

@@ -146,6 +146,15 @@ def test_points_with_a_non_integer_entry_are_rejected(bad):
     assert quadrant.contains_point((0, 0)) and not quadrant.interior_contains((0, 0))
 
 
+@pytest.mark.parametrize("point", [(1, 1, -5), (1,), ()])
+def test_points_of_the_wrong_length_are_rejected(point):
+    # zipping to the shorter vector would read (1, 1, -5) as (1, 1)
+    quadrant = C((1, 0), (0, 1))
+    for test in (quadrant.contains_point, quadrant.interior_contains):
+        with pytest.raises(ValueError, match="length 2"):
+            test(point)
+
+
 def _meet_by_dd(a, b):
     """``Cone.intersect`` as first written: double description of both
     duals' inequalities, on every call."""

@@ -3,9 +3,8 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key
 from math import gcd
-from operator import and_
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,6 @@ from logtoric.fans import (
     StarSubdivisionStep,
     _certified_complete,
     _dual_basis,
-    _holders,
     _in_unimodular,
     _unimodular_inverses,
     covers,
@@ -825,6 +823,16 @@ def test_a_non_integer_point_is_rejected_not_rounded(point):
             fan.smallest_containing_cone(point)
 
 
+@pytest.mark.parametrize("point", [(1, 1, 1), (1,)])
+def test_a_point_of_the_wrong_length_is_rejected(point):
+    # a rank-2 fan must not gain a ray of another length
+    for fan in (p1_power(2), Fan.make(2, [(1, 0), (1, 2)], [(0, 1)])):
+        with pytest.raises(FanError, match="length 2"):
+            star_subdivide_at_point(fan, point)
+        with pytest.raises(ValueError, match="length 2"):
+            fan.smallest_containing_cone(point)
+
+
 def test_cones_shared_by_two_fans_share_their_dual_basis():
     fan = KERNEL_FANS[0]
     bigger, _ = star_subdivide(fan, fan.maximal_cones[0])
@@ -1458,13 +1466,15 @@ def test_validate_matches_the_two_loop_oracle():
 
 def _complete_by_membership_masks(fan):
     """``is_complete`` before it tried ``_certified_complete``: facet
-    pairing by membership masks, on the kernel table when there is one."""
+    pairing, each facet counted in the maximal cones that hold all its
+    rays, tested one by one on the kernel table when there is one."""
     if not fan.maximal_cones:
         return False
     if fan.rank == 0:
         return True
-    cones = None
-    if _unimodular_inverses(fan) is not None:
+    table = _unimodular_inverses(fan)
+    if table is not None:
+        tests = [lambda x, duals=duals: _in_unimodular(duals, x) for duals in table]
         facets = (
             [fan.rays[i] for i in mc if i != skip]
             for mc in fan.maximal_cones
@@ -1474,12 +1484,10 @@ def _complete_by_membership_masks(fan):
         cones = fan.maximal()
         if any(c.dim != fan.rank for c in cones):
             return False
+        tests = [c.contains_point for c in cones]
         facets = (facet.rays for c in cones for facet in c.facets())
-    holders = _holders(fan, cones)
-    every = (1 << len(fan.maximal_cones)) - 1
     return all(
-        reduce(and_, map(holders, facet), every).bit_count() == 2
-        for facet in facets
+        sum(all(map(test, facet)) for test in tests) == 2 for facet in facets
     )
 
 

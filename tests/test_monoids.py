@@ -42,6 +42,20 @@ def test_membership_mixed():
     assert m.lines and m.cone_rays
 
 
+@pytest.mark.parametrize("point", [(-0.5, 1), (1, 1, 1), (1,)])
+def test_membership_rejects_a_non_integer_or_misshapen_point(point):
+    # int() would read (-0.5, 1) as (0, 1), a point of N^2
+    with pytest.raises(ValueError):
+        ToricMonoid.free(2).contains(point)
+
+
+@pytest.mark.parametrize("gens", [[(1.7, 0), (0, 1)], [(1, 0), ("1", 1)]])
+def test_from_gens_rejects_a_non_integer_entry(gens):
+    # int() would read (1.7, 0) as (1, 0) and build N^2
+    with pytest.raises(MonoidError, match="integer"):
+        ToricMonoid.from_gens(gens, 2)
+
+
 def test_primes_counts():
     assert len(primes(F1N())) == 2
     assert len(primes(F1N(2))) == 4
