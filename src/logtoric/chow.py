@@ -18,10 +18,11 @@ refinement edge.  The map memoizes the image of each generator cone (the
 product of its rays' divisors, unreduced), and each class image is the
 sum of those images reduced once to the normal form.
 
-The characters on a smooth cone (the support function on one cone, the
-Stanley-Reisner rewrite) depend only on the cone's rays and the target
-values, so ``_cone_character`` solves each distinct system once, in a
-bounded memo that all fans of a tower share.
+One character per smooth cone and ray, 1 on the ray and 0 on the
+cone's other rays, serves the Stanley-Reisner rewrite and, negated on a
+maximal cone, the support function.  It depends only on the cone's rays
+and the ray, so ``_cone_character`` solves each distinct system once, in
+a bounded memo that all fans of a tower share.
 """
 
 from __future__ import annotations
@@ -143,18 +144,6 @@ def zero_class(fan: Fan, q: int) -> ChowClass:
     return ChowClass(fan, q, tuple(0 for _ in gens))
 
 
-def unit_class(fan: Fan) -> ChowClass:
-    return make_class(fan, 0, {(): 1})
-
-
-def ray_class(fan: Fan, ray_index: int) -> ChowClass:
-    return make_class(fan, 1, {(ray_index,): 1})
-
-
-def classes_equal(a: ChowClass, b: ChowClass) -> bool:
-    return a.fan == b.fan and a.q == b.q and a.coords == b.coords
-
-
 def add(a: ChowClass, b: ChowClass) -> ChowClass:
     if a.fan != b.fan or a.q != b.q:
         raise ChowError("cannot add classes of different type")
@@ -175,7 +164,8 @@ def _cone_character(rows, target):
 
 def _basis_rewrite_character(fan: Fan, sigma, rho):
     """m with <m, u_rho'> = delta_{rho rho'} for every ray rho' of the
-    smooth cone sigma (rho in sigma)."""
+    smooth cone sigma (rho in sigma).  On a maximal cone m is unique, and
+    -m is the support function of the divisor of rho there."""
     m = _cone_character(
         tuple(fan.rays[i] for i in sigma), tuple(1 if i == rho else 0 for i in sigma)
     )
@@ -314,21 +304,6 @@ def map_divisors(cls: ChowClass, divisors: DivisorMap) -> ChowClass:
     return ChowClass(divisors.target, cls.q, basis.reduce(acc))
 
 
-def _support_character(fan: Fan, sigma, rho):
-    """The support function of the divisor of ``rho`` on the smooth
-    maximal cone ``sigma``: the character that is -1 on ``rho`` and 0 on
-    the other rays of ``sigma``, and zero when ``rho`` is not among
-    them."""
-    if rho not in sigma:
-        return (0,) * fan.rank
-    m = _cone_character(
-        tuple(fan.rays[i] for i in sigma), tuple(-1 if i == rho else 0 for i in sigma)
-    )
-    if m is None:
-        raise ChowError("support function needs a smooth complete fan")
-    return m
-
-
 def pullback_divisors(source: Fan, target: Fan):
     """Target ray -> its pulled-back divisor, along a subdivision
     source -> target.  Each divisor is derived on first use and kept by
@@ -339,7 +314,8 @@ def pullback_divisors(source: Fan, target: Fan):
     source ray that is the target ray j gets [j == rho].  Each new ray is
     located once, in the target maximal cone that the subdivision
     witness assigns to a source cone through it; psi_rho is linear on
-    that cone.
+    that cone, minus its basis character of rho when rho is a ray of it
+    and zero otherwise.
     """
     _check_smooth_complete(source)
     _check_smooth_complete(target)
@@ -359,7 +335,8 @@ def pullback_divisors(source: Fan, target: Fan):
     def divisor_of(rho):
         return tuple(
             int(j == rho) if j is not None
-            else -dot(_support_character(target, home[k], rho), u)
+            else dot(_basis_rewrite_character(target, home[k], rho), u) if rho in home[k]
+            else 0
             for k, (j, u) in enumerate(zip(shared, source.rays))
         )
 
@@ -409,8 +386,8 @@ def star_quotient_divisors(fan: Fan, tau, quotient: Fan, lift):
     def divisor_of(rho):
         if rho not in base_cone:
             return tuple(int(up == rho) for up in lifts)
-        m0 = _support_character(fan, base_cone, rho)
-        return tuple(int(up == rho) + dot(m0, fan.rays[up]) for up in lifts)
+        m = _basis_rewrite_character(fan, base_cone, rho)  # m0 = -m
+        return tuple(int(up == rho) - dot(m, fan.rays[up]) for up in lifts)
 
     return DivisorMap(quotient, divisor_of)
 

@@ -38,13 +38,15 @@ class InputError(Exception):
 
 
 def _load(path, parse):
-    """``parse`` of the JSON in ``path``; a read, JSON or parse failure is
-    an InputError naming the file."""
+    """``parse`` of the JSON in ``path``; a read, decoding, JSON or parse
+    failure is an InputError naming the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"

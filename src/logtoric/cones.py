@@ -264,11 +264,35 @@ class Cone:
 
     def facets(self):
         """Proper faces of codimension one."""
-        return list(_cone_facets(self))
+        if not self.rays:
+            return []
+        d = self.dim
+        _, drays = self.dual()
+        out = set()
+        for w in drays:
+            face_rays = tuple(r for r in self.rays if dot(w, r) == 0)
+            if not face_rays:
+                continue
+            f = Cone.make(face_rays, self.ambient)
+            if f.dim == d - 1:
+                out.add(f)
+        if d == 1:
+            out.add(Cone.zero(self.ambient))
+        return sorted(out, key=lambda c: c.rays)
 
     def faces(self):
         """All faces, including the zero cone and the cone itself."""
-        return list(_cone_faces(self))
+        seen = {self}
+        frontier = [self]
+        while frontier:
+            nxt = []
+            for c in frontier:
+                for f in c.facets():
+                    if f not in seen:
+                        seen.add(f)
+                        nxt.append(f)
+            frontier = nxt
+        return sorted(seen, key=lambda c: (c.dim, c.rays))
 
     def crosses(self, sigma: "Cone") -> bool:
         """Does this cone cross ``sigma`` (their intersection is not a face of sigma)?"""
@@ -294,40 +318,6 @@ def _cone_dim(cone: Cone) -> int:
     if not cone.rays:
         return 0
     return rank(IntMatrix.from_rows(cone.rays))
-
-
-@lru_cache(maxsize=None)
-def _cone_facets(cone: Cone):
-    if not cone.rays:
-        return ()
-    d = cone.dim
-    _, drays = cone.dual()
-    out = set()
-    for w in drays:
-        face_rays = tuple(r for r in cone.rays if dot(w, r) == 0)
-        if not face_rays:
-            continue
-        f = Cone.make(face_rays, cone.ambient)
-        if f.dim == d - 1:
-            out.add(f)
-    if d == 1:
-        out.add(Cone.zero(cone.ambient))
-    return tuple(sorted(out, key=lambda c: c.rays))
-
-
-@lru_cache(maxsize=None)
-def _cone_faces(cone: Cone):
-    seen = {cone}
-    frontier = [cone]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for f in _cone_facets(c):
-                if f not in seen:
-                    seen.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda c: (c.dim, c.rays)))
 
 
 def saturated_span_basis(vectors, ambient):

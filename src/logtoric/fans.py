@@ -602,12 +602,6 @@ def star_subdivide(fan: Fan, center) -> tuple:
     return star_subdivide_at_point(fan, fan.ray_sum(center))
 
 
-def replay_steps(fan: Fan, steps) -> Fan:
-    for s in steps:
-        fan, _ = star_subdivide_at_point(fan, s.new_ray)
-    return fan
-
-
 # -- subdivision predicate ------------------------------------------------
 
 
@@ -1056,7 +1050,7 @@ def star_quotient(fan: Fan, sigma_indices) -> tuple:
     # projection N -> N / N_sigma via the last rows of the SNF transform
     m = IntMatrix.from_rows(sigma.rays).transpose()  # rank x d
     _, u, _ = smith_normal_form(m)
-    proj_rows = [u.row(i) for i in range(d, fan.rank)]
+    proj_rows = u.entries[d:]
 
     def project(vec):
         return primitive(tuple(dot(r, vec) for r in proj_rows))

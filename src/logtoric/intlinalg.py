@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,14 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows_list) -> "IntMatrix":
-        rows_list = [tuple(int(x) for x in r) for r in rows_list]
+        """The matrix with the given rows; an entry that is not an integer
+        (a float, a string) raises ``ValueError``, it is never rounded."""
+        rows_list = [tuple(r) for r in rows_list]
+        try:
+            rows_list = [tuple(map(index, r)) for r in rows_list]
+        except TypeError:
+            bad = next(x for r in rows_list for x in r if not hasattr(type(x), "__index__"))
+            raise ValueError(f"matrix entry {bad!r} is not an integer") from None
         nrows = len(rows_list)
         ncols = len(rows_list[0]) if rows_list else 0
         if any(len(r) != ncols for r in rows_list):
@@ -42,9 +50,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def transpose(self) -> "IntMatrix":
         if not self.entries:
@@ -66,14 +71,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.entries)
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
 
     def diagonal(self) -> tuple:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -377,11 +374,6 @@ def solve_integer(m: IntMatrix, target):
     return LatticeSolver(m.transpose().entries).solve(target)
 
 
-def lattice_member(basis_rows, vec) -> bool:
-    """Is ``vec`` in the integer row span of ``basis_rows``?"""
-    return LatticeSolver(basis_rows).solve(vec) is not None
-
-
 @dataclass(frozen=True)
 class FPAbelianGroup:
     """Finitely presented abelian group `Z^ngens / row span of relations`.
@@ -404,7 +396,13 @@ class FPAbelianGroup:
 
     @cached_property
     def _snf_diagonal(self):
-        d, _, _ = smith_normal_form(self.relations)
+        """The Smith diagonal of the relations cut to the columns that
+        some relation touches.  A zero column adds no invariant factor,
+        and without it a group with no relations is a 0 x 0 form, not
+        an n x n column transform."""
+        rel = self.relations.entries
+        used = [j for j, col in enumerate(zip(*rel)) if any(col)]
+        d, _, _ = smith_normal_form(IntMatrix.from_rows([[row[j] for j in used] for row in rel]))
         return d.diagonal()
 
     @property
@@ -427,8 +425,3 @@ class FPAbelianGroup:
     def __repr__(self):
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
-
-
-def cokernel(m: IntMatrix) -> FPAbelianGroup:
-    """Z^rows / image(m), for m read as a map Z^cols -> Z^rows."""
-    return FPAbelianGroup(m.rows, m.transpose())

@@ -98,7 +98,7 @@ class ToricMonoid:
         m = IntMatrix.from_rows(self.lines).transpose()
         d_mat, u, _ = smith_normal_form(m)
         k = len(self.lines)
-        proj_rows = [u.row(i) for i in range(k, self.rank)]
+        proj_rows = u.entries[k:]
 
         def project(v):
             return tuple(dot(r, v) for r in proj_rows)
@@ -243,14 +243,6 @@ def normalize(gens, rank) -> PointedMonoid:
     """Saturation of the integral monoid generated by ``gens``: the monoid
     of all lattice points of the generated cone."""
     return PointedMonoid(ToricMonoid.from_gens(gens, rank))
-
-
-def monoid_equal(a: PointedMonoid, b: PointedMonoid) -> bool:
-    return (
-        a.rank == b.rank
-        and a.monoid.lines == b.monoid.lines
-        and a.monoid.cone_rays == b.monoid.cone_rays
-    )
 
 
 def _monomial(names, exps):

@@ -77,13 +77,18 @@ def cube_cone_indices(fan: Fan, n: int):
     return tuple(sorted(idx))
 
 
+def _box_ray(a, n: int, r: int) -> bool:
+    """Condition (i) for one ray: positive in a box coordinate only if it
+    is that unit vector."""
+    for i in range(n, n + r):
+        if a[i] > 0 and a != _unit(len(a), i):
+            return False
+    return True
+
+
 def satisfies_ray_condition(fan: Fan, n: int, r: int) -> bool:
     """Condition (i): a ray positive in a box coordinate is that unit."""
-    for a in fan.rays:
-        for i in range(n, n + r):
-            if a[i] > 0 and a != _unit(fan.rank, i):
-                return False
-    return True
+    return all(_box_ray(a, n, r) for a in fan.rays)
 
 
 def check_node_fan(fan: Fan, n: int, r: int):
@@ -207,13 +212,7 @@ def allowed_centers(fan: Fan, n: int, r: int):
             continue
         if set(idx) <= cube:
             continue
-        new_ray = primitive(fan.ray_sum(idx))
-        ok = True
-        for i in range(n, n + r):
-            if new_ray[i] > 0 and new_ray != _unit(fan.rank, i):
-                ok = False
-                break
-        if ok:
+        if _box_ray(primitive(fan.ray_sum(idx)), n, r):
             out.append(idx)
     return out
 

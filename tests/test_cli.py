@@ -156,6 +156,15 @@ def test_an_index_set_that_spans_a_line_is_reported_without_a_traceback(tmp_path
     assert "Traceback" not in err
 
 
+def test_an_input_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    # a UTF-16 byte-order mark: the decoder fails before the JSON parser
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_process("fan-check", str(path))
+    assert (code, out, err) == (2, "", f"input error: {path}: not UTF-8 text (byte 0)\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["fan-check", "{fan}"], ["chow", "{fan}"],

@@ -523,13 +523,13 @@ def _seeded_classes(rng, fan, q, count=2):
 def _map_reducing_every_term(cls, divisors):
     """The image of ``cls`` with every product, term and partial sum
     reduced to the normal form as it is formed."""
-    from logtoric.chow import add, multiply_by_divisor, scale, unit_class, zero_class
+    from logtoric.chow import add, multiply_by_divisor, scale, zero_class
 
     target = divisors.target
     acc = zero_class(target, cls.q)
     for cone, c in zip(presentation_data(cls.fan, cls.q)[0], cls.coords):
         if c:
-            term = unit_class(target)
+            term = make_class(target, 0, {(): 1})
             for ray in cone:
                 term = multiply_by_divisor(term, divisors.divisor_of(ray))
             acc = add(acc, scale(term, c))

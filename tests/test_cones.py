@@ -121,11 +121,11 @@ def test_saturated_span_basis():
     b = saturated_span_basis([(2, 0, 1), (0, 2, 1)], 3)
     assert len(b) == 2
     # (1,1,1) = half the sum lies in the saturation
-    from logtoric.intlinalg import lattice_member
+    from logtoric.intlinalg import LatticeSolver
 
-    assert lattice_member(b, (1, 1, 1))
-    assert lattice_member(b, (2, 0, 1))
-    assert not lattice_member(b, (0, 0, 1))
+    assert LatticeSolver(b).solve((1, 1, 1)) is not None
+    assert LatticeSolver(b).solve((2, 0, 1)) is not None
+    assert LatticeSolver(b).solve((0, 0, 1)) is None
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(3, 2), Fraction(1), "1"])

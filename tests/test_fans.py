@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from math import gcd
 from pathlib import Path
 
@@ -33,7 +33,6 @@ from logtoric.fans import (
     p1_power,
     product,
     refine,
-    replay_steps,
     resolve,
     standard_fan,
     star_quotient,
@@ -164,7 +163,8 @@ def test_resolve_12():
     assert len(out.maximal_cones) == 2
     assert len(steps) == 1
     assert is_subdivision(out, fan)
-    assert replay_steps(fan, steps).canonical() == out.canonical()
+    replayed = reduce(lambda f, s: star_subdivide_at_point(f, s.new_ray)[0], steps, fan)
+    assert replayed.canonical() == out.canonical()
 
 
 def test_resolve_already_smooth():
@@ -1142,14 +1142,15 @@ def test_resolve_matches_point_location_oracle(fan, monkeypatch):
     monkeypatch.setattr(fans_module, "_worst_cone", spy)
     out, steps = resolve(fan)
     assert (out, steps) == _resolve_by_point_location(fan)
-    assert replay_steps(fan, steps) == out
     # the last scan finds every cone smooth; the steps before the first
-    # scan triangulate
+    # scan triangulate, and replaying every step gives the output
     triangulation = len(steps) - (len(carried) - 1)
-    stage = replay_steps(fan, steps[:triangulation])
+    stage = fan
+    for s in steps[:triangulation]:
+        stage, _ = star_subdivide_at_point(stage, s.new_ray)
     for k, mults in enumerate(carried):
         if k:
-            stage = replay_steps(stage, steps[triangulation + k - 1 : triangulation + k])
+            stage, _ = star_subdivide_at_point(stage, steps[triangulation + k - 1].new_ray)
         assert mults == {mc: stage.cone(mc).multiplicity() for mc in stage.maximal_cones}
     assert stage == out
     # cones and fans built directly are what the normalising makers return
@@ -1646,7 +1647,7 @@ def _star_quotient_by_dd(fan, sigma_indices):
     if d == 0:
         return fan, {i: i for i in range(len(fan.rays))}
     _, u, _ = smith_normal_form(IntMatrix.from_rows(sigma.rays).transpose())
-    proj_rows = [u.row(i) for i in range(d, fan.rank)]
+    proj_rows = u.entries[d:]
     ray_map = {}
     new_rays = []
     star_cones = []
@@ -1763,7 +1764,7 @@ def _star_quotient_written_out(fan, sigma_indices):
         return fan, {i: i for i in range(len(fan.rays))}
     m = IntMatrix.from_rows(sigma.rays).transpose()
     _, u, _ = smith_normal_form(m)
-    proj_rows = [u.row(i) for i in range(d, fan.rank)]
+    proj_rows = u.entries[d:]
     ray_map = {}
     new_rays = []
     star_cones = []

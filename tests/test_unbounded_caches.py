@@ -16,8 +16,6 @@ ALLOWED = {
     "chow._PRESENTATIONS",
     "cones._canonical_rays",
     "cones._cone_dim",
-    "cones._cone_faces",
-    "cones._cone_facets",
     "cones._dual_description",
     "fans._fan_all_cone_indices",
 }
