@@ -37,6 +37,7 @@ from .intlinalg import (
     HermiteBasis,
     IntMatrix,
     LatticeSolver,
+    int_entries,
     kernel_basis,
 )
 
@@ -65,6 +66,7 @@ class Presentation:
             for c in r:
                 if not 0 <= c < ngens:
                     raise ValueError(f"relation column {c} is not in range({ngens})")
+            int_entries(r.values(), "relation entry")  # raises on a non-integer
         self._simplify(rows)
 
     def _simplify(self, rows):

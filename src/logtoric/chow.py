@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from operator import index
 
 from .cones import dot
 from .fans import (
@@ -88,10 +89,7 @@ def presentation_data(fan: Fan, q: int):
                     IntMatrix.from_rows([fan.rays[i] for i in tau])
                 )
             else:
-                orth = [
-                    tuple(1 if j == i else 0 for j in range(fan.rank))
-                    for i in range(fan.rank)
-                ]
+                orth = IntMatrix.identity(fan.rank).entries
             # cones tau + rho of dimension q
             star = []
             for sigma in gens:
@@ -135,7 +133,10 @@ def make_class(fan: Fan, q: int, coeffs) -> ChowClass:
         cone = tuple(sorted(cone))
         if cone not in pos:
             raise ChowError(f"{cone} is not a {q}-dimensional cone of the fan")
-        vec[pos[cone]] += int(coeff)
+        try:
+            vec[pos[cone]] += index(coeff)
+        except TypeError:
+            raise ChowError(f"coefficient {coeff!r} of {cone} is not an integer") from None
     return _class_of(fan, q, vec)
 
 

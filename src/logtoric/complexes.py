@@ -403,15 +403,7 @@ def eventual_boundary_search(q, r, n, cycles, start_depth, max_depth, budget=Non
     found; a found witness is verified exactly before being reported.
     """
     reports = [
-        None
-        if keyed
-        else {
-            "found": True,
-            "witness": {},
-            "depth": start_depth,
-            "explored": [],
-            "note": "zero cycle",
-        }
+        None if keyed else {**_report({}, start_depth, []), "note": "zero cycle"}
         for keyed in cycles
     ]
     explored = []
@@ -441,20 +433,15 @@ def eventual_boundary_search(q, r, n, cycles, start_depth, max_depth, budget=Non
                 cycle
             ):
                 raise ComplexError("witness verification failed")
-            reports[k] = {
-                "found": True,
-                "witness": cx.ambient_of_chain(n + 1, sol),
-                "depth": d,
-                "explored": list(explored),
-            }
-    return [
-        rep
-        if rep is not None
-        else {
-            "found": False,
-            "witness": None,
-            "depth": None,
-            "explored": list(explored),
-        }
-        for rep in reports
-    ]
+            reports[k] = _report(cx.ambient_of_chain(n + 1, sol), d, explored)
+    return [_report(None, None, explored) if rep is None else rep for rep in reports]
+
+
+def _report(witness, depth, explored):
+    """One cycle's search report; a cycle is found when it has a witness."""
+    return {
+        "found": witness is not None,
+        "witness": witness,
+        "depth": depth,
+        "explored": list(explored),
+    }

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd, prod
 from operator import index
 
-from .intlinalg import IntMatrix, kernel_basis, primitive, rank, smith_normal_form
+from .intlinalg import IntMatrix, int_entries, kernel_basis, primitive, rank, smith_normal_form
 
 
 def dot(a, b):
@@ -61,9 +61,9 @@ def extreme_description(ineqs, ambient):
     method, tracking the tight constraint set of each ray for the
     adjacency test.
     """
-    lines = [tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)]
+    lines = list(IntMatrix.identity(ambient).entries)
     rays = []  # list of (vector, frozenset of tight constraint indices)
-    ineqs = [tuple(int(x) for x in a) for a in ineqs]
+    ineqs = [int_entries(a, "inequality entry") for a in ineqs]
     for k, a in enumerate(ineqs):
         if all(x == 0 for x in a):
             continue
@@ -129,7 +129,7 @@ def extreme_description(ineqs, ambient):
     return [l for l in lines], [r for r, _ in rays]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _dual_description(rays, ambient):
     """(lines, rays) of the dual cone ``{w : w.r >= 0 for r in rays}``."""
     lines, drays = extreme_description(list(rays), ambient)
@@ -156,7 +156,7 @@ def spanning_vectors(lines, rays):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _canonical_rays(gens, ambient):
     """Sorted primitive extreme rays of the cone generated by ``gens``.
 
@@ -215,12 +215,6 @@ class Cone:
 
     def dual(self):
         """(lines, rays) generating the dual cone."""
-        if not self.rays:
-            lines = [
-                tuple(1 if i == j else 0 for j in range(self.ambient))
-                for i in range(self.ambient)
-            ]
-            return tuple(lines), ()
         return _dual_description(self.rays, self.ambient)
 
     def contains_point(self, x) -> bool:
@@ -313,7 +307,7 @@ def _meet(a: Cone, b: Cone) -> Cone:
     return Cone.make(rays, a.ambient)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _cone_dim(cone: Cone) -> int:
     if not cone.rays:
         return 0
@@ -326,7 +320,5 @@ def saturated_span_basis(vectors, ambient):
         return []
     normals = kernel_basis(IntMatrix.from_rows(list(vectors)))
     if not normals:
-        return [
-            tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)
-        ]
+        return list(IntMatrix.identity(ambient).entries)
     return [tuple(b) for b in kernel_basis(IntMatrix.from_rows(normals))]

@@ -19,14 +19,16 @@ subset are the maximal meets of the maximal cones with it, and a star
 subdivision at a face is the combinatorial split ``sigma - {i} + {v}``.
 Point location (``_locate``: the maximal cones holding a point and the
 smallest face holding it, for ``Fan.smallest_containing_cone`` and
-``star_subdivide_at_point``), ``is_smooth``, ``is_complete``,
-``subdivision_witness`` and ``cones_within`` take this path by
-themselves; ``_containers`` (the maximal cones holding every point of a
-set, as a bit mask) serves the subdivision predicates and the fan maps
-of ``schemes``; ``star_subdivide`` is its center checks followed by
-``star_subdivide_at_point`` at the center's ray sum.  Every other fan
-(lower dimensional or non-smooth maximal cones) keeps the double
-description of ``cones``, which is also the kernel's test oracle.
+``star_subdivide_at_point``), ``Fan.is_cone`` (an index set is a cone
+when it is sorted, has no repeat and lies in one maximal cone),
+``is_smooth``, ``is_complete``, ``subdivision_witness`` and
+``cones_within`` take this path by themselves; ``_containers`` (the
+maximal cones holding every point of a set, as a bit mask) serves the
+subdivision predicates and the fan maps of ``schemes``;
+``star_subdivide`` is its center checks, ``Fan.is_cone`` among them,
+followed by ``star_subdivide_at_point`` at the center's ray sum.  Every
+other fan (lower dimensional or non-smooth maximal cones) keeps the
+double description of ``cones``, which is also the kernel's test oracle.
 Once ``resolve`` has triangulated, it builds each simplicial maximal cone
 from its sorted rays with no double description, picks each center off
 the worst cone's Smith form by integer coefficient numerators, and splits
@@ -38,12 +40,13 @@ fan once, reading both the containment and the common-face checks off
 that meet.  ``support_equal`` and ``is_subdivision`` decide complete fans
 by ``is_complete`` and run exact volumes only when neither fan is
 complete.  ``crosses`` meets tau with the maximal cones only (the faces
-follow), which ``refine`` builds once per fan, and ``cones`` memoizes
-each meet.
+follow); ``Fan.maximal`` builds them once per fan object, and ``cones``
+memoizes each meet.
 
 A ray of a fan that lies in one of its cones is one of that cone's rays,
 so a cone of a fan is named by the sorted indices of its rays:
-``Fan.is_cone`` looks an index set up among the fan's faces.
+``Fan.is_cone`` looks an index set up among the fan's faces (off the
+smooth kernel, in the memoized face list).
 ``Fan.find_cone`` keeps its double description for a cone given by its
 rays, as lookups in another fan need.
 
@@ -62,11 +65,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from math import lcm
 from operator import and_, index, mul
 
-from .cones import Cone, _lattice_point, dot, saturated_span_basis
+from .cones import Cone, _lattice_point, dot, extreme_description, saturated_span_basis
 from .intlinalg import (
     IntMatrix,
     _echelon,
@@ -89,16 +92,27 @@ class Fan:
     maximal_cones: tuple  # tuple of sorted tuples of ray indices
 
     _hash = None  # no annotation, so not a field: set by the first hash
-    _certified = None  # likewise: set by the first _certified_complete
 
     def __hash__(self):
         # the dataclass hash, computed once per object: the memos keyed by
-        # a fan look it up many times
+        # a fan look it up many times.  Not a cached_property, whose first
+        # read (on every new fan) costs about 0.6 us more on Python 3.11
         h = self._hash
         if h is None:
             h = hash((self.rank, self.rays, self.maximal_cones))
             object.__setattr__(self, "_hash", h)
         return h
+
+    # cached_propertys are not fields, and write the instance dict past the
+    # frozen __setattr__
+
+    @cached_property
+    def _maximal(self) -> tuple:
+        return tuple(self.cone(c) for c in self.maximal_cones)
+
+    @cached_property
+    def _certified(self) -> bool:
+        return _facet_certificate(self)
 
     @staticmethod
     def make(rank, rays, maximal_cones, validate=True) -> "Fan":
@@ -120,8 +134,10 @@ class Fan:
             return Cone.zero(self.rank)
         return Cone.make([self.rays[i] for i in indices], self.rank)
 
-    def maximal(self):
-        return [self.cone(c) for c in self.maximal_cones]
+    def maximal(self) -> tuple:
+        """The maximal cones as ``Cone``s, in ``maximal_cones`` order,
+        built once per fan object."""
+        return self._maximal
 
     def ray_index(self, vec):
         try:
@@ -201,8 +217,14 @@ class Fan:
         return [c for c, dim in zip(cones, dims) if dim == d]
 
     def is_cone(self, indices) -> bool:
-        """Is the sorted ray-index tuple ``indices`` a cone of this fan?"""
-        return tuple(indices) in _fan_all_cone_indices(self)[0]
+        """Is the sorted ray-index tuple ``indices`` a cone of this fan?
+        On the smooth kernel the faces are the subsets of the maximal
+        cones, so no face list is built."""
+        indices = tuple(indices)
+        if _unimodular_inverses(self) is not None:
+            held = set(indices)
+            return indices == tuple(sorted(held)) and any(map(held.issubset, self.maximal_cones))
+        return indices in _fan_all_cone_indices(self)[0]
 
     def find_cone(self, cone: Cone):
         """Ray-index tuple of ``cone`` if it is a cone of this fan; for a
@@ -289,13 +311,8 @@ def _dual_basis(rows):
 
 def _certified_complete(fan: Fan) -> bool:
     """``_facet_certificate(fan)``, kept on the fan object: ``Fan.validate``
-    and ``is_complete`` both ask, and the answer is computed once per
-    fan."""
-    known = fan._certified
-    if known is None:
-        known = _facet_certificate(fan)
-        object.__setattr__(fan, "_certified", known)
-    return known
+    and ``is_complete`` both ask."""
+    return fan._certified
 
 
 def _facet_certificate(fan: Fan) -> bool:
@@ -346,12 +363,11 @@ def _in_unimodular(duals, x) -> bool:
     return True
 
 
-def _containers(fan: Fan, cones=None):
+def _containers(fan: Fan):
     """``containers(points)``: the maximal cones of ``fan`` that hold every
     point of ``points`` (tuples), as a bit mask (bit j for cone j; every
     cone for no point).  Each (cone, point) membership is tested once per
-    helper: the holders of a point are memoized.  ``cones`` is
-    ``fan.maximal()`` when the caller has built it already.
+    helper: the holders of a point are memoized.
 
     In a fan, the ray u_j lies in a simplicial maximal cone exactly when j
     is one of its indices.  So when ``_certified_complete(fan)`` vouches
@@ -361,7 +377,7 @@ def _containers(fan: Fan, cones=None):
     if table is not None:
         tests = [partial(_in_unimodular, duals) for duals in table]
     else:
-        tests = [c.contains_point for c in cones or fan.maximal()]
+        tests = [c.contains_point for c in fan.maximal()]
     memo = {}  # point -> holder mask
     if _certified_complete(fan):
         for j, mc in enumerate(fan.maximal_cones):
@@ -408,7 +424,7 @@ def _locate(fan: Fan, point):
     return center, holders
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _fan_all_cone_indices(fan: Fan):
     """All cones as sorted ray-index tuples ordered by (length, indices),
     and their dimensions read off the face walk, as two parallel tuples
@@ -454,7 +470,6 @@ def is_complete(fan: Fan) -> bool:
         return False
     if fan.rank == 0 or _certified_complete(fan):
         return True
-    cones = None
     if _unimodular_inverses(fan) is not None:
         # full-dimensional simplicial: a facet drops one ray
         facets = (
@@ -467,11 +482,11 @@ def is_complete(fan: Fan) -> bool:
         if any(c.dim != fan.rank for c in cones):
             return False
         facets = (facet.rays for c in cones for facet in c.facets())
-    containers = _containers(fan, cones)
+    containers = _containers(fan)
     return all(containers(facet).bit_count() == 2 for facet in facets)
 
 
-def crosses(tau: Cone, fan: Fan, cones=None) -> bool:
+def crosses(tau: Cone, fan: Fan) -> bool:
     """Does ``tau`` cross the fan: some cone whose meet with tau is not its face?
 
     Only the maximal cones are tested.  Suppose tau meets every maximal
@@ -479,12 +494,11 @@ def crosses(tau: Cone, fan: Fan, cones=None) -> bool:
     ``tau ∩ F = G ∩ F``, a face of sigma inside F, and so a face of F.
     So no face crosses tau unless a maximal cone does.  The argument uses
     only that each cone of the fan is a face of a maximal one, so it holds
-    for any collection of cones, valid fan or not.  ``cones`` is
-    ``fan.maximal()`` when the caller has built it already.
+    for any collection of cones, valid fan or not.
     """
     if tau.ambient != fan.rank:
         raise FanError("ambient rank mismatch")
-    return any(tau.crosses(c) for c in cones or fan.maximal())
+    return any(tau.crosses(c) for c in fan.maximal())
 
 
 # -- star subdivision ----------------------------------------------------
@@ -589,15 +603,9 @@ def star_subdivide(fan: Fan, center) -> tuple:
         raise FanError(f"center {center} is not a cone of the fan: ray index out of range")
     # fewer than two rays span a cone of dimension < 2; a cone of a fan
     # with two or more rays has dimension >= 2
-    held = set(center)
-    if len(held) < 2:
+    if len(set(center)) < 2:
         raise FanError("star subdivision center must have dimension >= 2")
-    if _unimodular_inverses(fan) is not None:
-        # the faces of a kernel fan are the subsets of its maximal cones
-        is_cone = len(held) == len(center) and any(map(held.issubset, fan.maximal_cones))
-    else:
-        is_cone = fan.is_cone(center)
-    if not is_cone:
+    if not fan.is_cone(center):
         raise FanError(f"center {center} is not a cone of the fan")
     return star_subdivide_at_point(fan, fan.ray_sum(center))
 
@@ -699,11 +707,10 @@ def is_subdivision(source: Fan, target: Fan) -> bool:
         return False
     if is_complete(source) or is_complete(target):
         return is_complete(source) and is_complete(target)
-    scones, tcones = source.maximal(), target.maximal()
-    containers = _containers(target, tcones)
+    containers = _containers(target)
     masks = [containers(source.rays[k] for k in mc) for mc in source.maximal_cones]
-    for j, t in enumerate(tcones):
-        if not covers(t, [c for c, mask in zip(scones, masks) if mask >> j & 1]):
+    for j, t in enumerate(target.maximal()):
+        if not covers(t, [c for c, mask in zip(source.maximal(), masks) if mask >> j & 1]):
             return False
     return True
 
@@ -887,12 +894,7 @@ def _worst_cone(cones, mults):
 
 
 def _two_cone_indices(fan: Fan):
-    out = set()
-    for mc in fan.maximal_cones:
-        for a in range(len(mc)):
-            for b in range(a + 1, len(mc)):
-                out.add((mc[a], mc[b]))
-    return sorted(out)
+    return sorted({pair for mc in fan.maximal_cones for pair in itertools.combinations(mc, 2)})
 
 
 def _engine(fan: Fan, phi, eta, steps, scope=None):
@@ -929,8 +931,6 @@ def _engine(fan: Fan, phi, eta, steps, scope=None):
 def _separating_functional(eta: Cone, tau: Cone):
     """phi with phi <= 0 on eta, phi >= 0 on tau, vanishing on tau exactly
     along eta ∩ tau.  Exists because eta and tau meet in a common face."""
-    from .cones import extreme_description
-
     ineqs = [r for r in tau.rays]
     ineqs += [tuple(-x for x in r) for r in eta.rays]
     if not ineqs:
@@ -988,18 +988,16 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
 
     steps = []
     fan = sigma
-    cones = fan.maximal()  # rebuilt only when a tau changes the fan
     taus = [delta.cone(idx) for idx in delta.all_cone_indices()]
     taus = [t for t in taus if t.rays]
     for tau in sorted(taus, key=lambda c: (-c.dim, c.rays)):
-        if not crosses(tau, fan, cones):
+        if not crosses(tau, fan):
             continue
         if eta.contains_cone(tau):
             continue
         psi = _separating_functional(eta, tau)
         if psi is None:
             raise FanError("no separating functional; eta and tau do not meet in a face")
-        before = len(steps)
         fan = _engine(fan, psi, eta_indices, steps)
 
         def in_scope(f: Fan, pair, _psi=psi):
@@ -1011,9 +1009,7 @@ def refine(sigma: Fan, delta: Fan, eta_indices) -> tuple:
 
         for phi in _cut_functionals(tau):
             fan = _engine(fan, phi, eta_indices, steps, scope=in_scope)
-        if len(steps) > before:
-            cones = fan.maximal()
-        if crosses(tau, fan, cones):
+        if crosses(tau, fan):
             raise FanError("refinement failed to clear a crossing cone")
     # a step only appends a ray, so eta keeps its indices
     if not fan.is_cone(eta_indices):
@@ -1175,11 +1171,7 @@ def standard_fan(name: str, n: int = 0) -> Fan:
         if n < 1:
             raise FanError("P^n needs n >= 1")
         rays = [_unit(n, i) for i in range(n)] + [tuple(-1 for _ in range(n))]
-        cones = []
-        for skip in range(n + 1):
-            cones.append(tuple(i for i in range(n + 1) if i != skip))
-        # put Cone(e_1..e_n) first
-        cones = [tuple(range(n))] + [c for c in sorted(cones) if c != tuple(range(n))]
+        cones = sorted(tuple(i for i in range(n + 1) if i != skip) for skip in range(n + 1))
         return Fan.make(n, rays, cones)
     if name == "Bl_sq":
         rays = [(1, 0), (0, 1), (-1, 1), (1, -1), (-1, 0), (0, -1)]
@@ -1224,11 +1216,6 @@ def complete_fan(fan: Fan) -> Fan:
     rays = list(fan.rays)
     if not rays:
         rays = [(1, 0)]
-    existing = {
-        frozenset(fan.rays[i] for i in c)
-        for c in fan.maximal_cones
-        if len(c) == 2
-    }
     # split every circular gap of at least a half turn, then fill the
     # remaining gaps with new 2-cones
     while True:
@@ -1241,7 +1228,6 @@ def complete_fan(fan: Fan) -> Fan:
                 len(ordered) == 1
                 or cross < 0
                 or (cross == 0 and (a[0] * b[0] + a[1] * b[1]) < 0)
-                or a == b
             )
             if wide:
                 rays.append(primitive((-a[1], a[0])))
@@ -1249,17 +1235,11 @@ def complete_fan(fan: Fan) -> Fan:
                 break
         if not inserted:
             break
+    # a 2-cone of the input holds no other ray, so its rays are neighbours
+    # in this order and it is one of the consecutive pairs
     ordered = sorted(rays, key=_ccw_key)
-    cones = set(existing)
-    for k, a in enumerate(ordered):
-        b = ordered[(k + 1) % len(ordered)]
-        cones.add(frozenset((a, b)))
-    ray_index = {r: i for i, r in enumerate(ordered)}
-    out = Fan.make(
-        2,
-        ordered,
-        sorted(tuple(sorted(ray_index[r] for r in c)) for c in cones),
-    )
+    n = len(ordered)
+    out = Fan.make(2, ordered, sorted(tuple(sorted((k, (k + 1) % n))) for k in range(n)))
     if not is_complete(out):
         raise FanError("completion failed")
     for mc in fan.maximal_cones:

@@ -31,12 +31,7 @@ class IntMatrix:
     def from_rows(rows_list) -> "IntMatrix":
         """The matrix with the given rows; an entry that is not an integer
         (a float, a string) raises ``ValueError``, it is never rounded."""
-        rows_list = [tuple(r) for r in rows_list]
-        try:
-            rows_list = [tuple(map(index, r)) for r in rows_list]
-        except TypeError:
-            bad = next(x for r in rows_list for x in r if not hasattr(type(x), "__index__"))
-            raise ValueError(f"matrix entry {bad!r} is not an integer") from None
+        rows_list = [int_entries(r, "matrix entry") for r in rows_list]
         nrows = len(rows_list)
         ncols = len(rows_list[0]) if rows_list else 0
         if any(len(r) != ncols for r in rows_list):
@@ -76,12 +71,24 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
+def int_entries(values, what: str) -> tuple:
+    """``values`` as a tuple of ints, each read by ``operator.index``: an
+    entry that is not an integer (a float, a string) raises ``ValueError``
+    naming it as ``what``; it is never truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(type(x), "__index__"))
+        raise ValueError(f"{what} {bad!r} is not an integer") from None
+
+
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries.
 
     The zero vector has no primitive representative.
     """
-    vec = tuple(map(int, vec))
+    vec = int_entries(vec, "vector entry")
     g = gcd(*vec)
     if g == 0:
         raise ValueError("nonzero required")
@@ -337,7 +344,7 @@ class LatticeSolver:
         combination of them modulo the lattice."""
         if self._width is not None and len(target) != self._width:
             raise ValueError("shape mismatch")
-        residue = list(target)
+        residue = list(int_entries(target, "target entry"))
         x = [0] * self._ncols
         for lead, row, urow in self._pivots:
             c, rem = divmod(residue[lead], row[lead])

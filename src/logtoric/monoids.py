@@ -66,14 +66,12 @@ class ToricMonoid:
     @staticmethod
     def free(n: int) -> "ToricMonoid":
         """N^n."""
-        gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        return ToricMonoid.from_gens(gens, n)
+        return ToricMonoid.from_gens(IntMatrix.identity(n).entries, n)
 
     @staticmethod
     def group(n: int) -> "ToricMonoid":
         """Z^n."""
-        units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        return ToricMonoid.from_gens(spanning_vectors(units, ()), n)
+        return ToricMonoid.from_gens(spanning_vectors(IntMatrix.identity(n).entries, ()), n)
 
     def generators_of_cone(self):
         return spanning_vectors(self.lines, self.cone_rays)

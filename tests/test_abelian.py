@@ -318,3 +318,9 @@ def test_elimination_row_deferred_twice_before_it_gains_a_unit():
 def test_presentation_rejects_a_column_out_of_range(column):
     with pytest.raises(ValueError, match="not in range"):
         Presentation(2, [{0: 2, column: 3}])
+
+
+def test_presentation_rejects_an_entry_that_is_not_an_integer():
+    # the core row (1.5, 2) would be built, and only .group() would raise
+    with pytest.raises(ValueError, match=r"^relation entry 1\.5 is not an integer$"):
+        Presentation(2, [{0: 1.5, 1: 2}])

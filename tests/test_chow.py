@@ -5,6 +5,7 @@ from chow_oracles import support_function
 
 from logtoric.chow import (
     ChowError,
+    add,
     _basis_rewrite_character,
     _cone_character,
     chow_presentation,
@@ -13,6 +14,7 @@ from logtoric.chow import (
     make_class,
     multiply_by_divisor,
     presentation_data,
+    pullback_divisors,
     pullback_subdivision,
     restrict_slice,
     restrict_star,
@@ -73,6 +75,43 @@ def test_chow_errors():
     with pytest.raises(ChowError, match="smooth"):
         chow_presentation(Fan.make(2, [(1, 0), (1, 2), (-1, -1)],
                                    [(0, 1), (1, 2), (0, 2)]), 1)
+
+
+@pytest.mark.parametrize("coeff", [1.7, "2"])
+def test_make_class_rejects_a_coefficient_that_is_not_an_integer(coeff):
+    # int() would read 1.7 as 1 and "2" as 2
+    with pytest.raises(ChowError, match=r"^coefficient .* of \(0,\) is not an integer$"):
+        make_class(SQ, 1, {(0,): coeff})
+
+
+def _on_p2():
+    return make_class(standard_fan("P^n", 2), 1, {(0,): 1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_class(SQ, 1, {(0, 2): 1}), r"\(0, 2\) is not a 1-dimensional cone of the fan"),
+        (lambda: add(make_class(SQ, 1, {(0,): 1}), _on_p2()), "cannot add classes of different type"),
+        (
+            lambda: pullback_divisors(SQ, standard_fan("P^n", 2)),
+            "source does not subdivide the target",
+        ),
+        (lambda: pullback_subdivision(SQ, SQ, _on_p2()), "class does not live on the target"),
+        (
+            lambda: restrict_to_star_quotient(SQ, (0,), P1, {0: 2, 1: 3}, _on_p2()),
+            "class does not live on the fan",
+        ),
+        (lambda: restrict_slice(SQ, 0, _on_p2()), "class does not live on the fan"),
+    ],
+    ids=[
+        "not-a-generator", "add-across-fans", "not-a-subdivision", "pullback-wrong-fan",
+        "star-quotient-wrong-fan", "slice-wrong-fan",
+    ],
+)
+def test_invalid_input_raises_a_chow_error(call, message):
+    with pytest.raises(ChowError, match=f"^{message}$"):
+        call()
 
 
 def test_point_fan_degrees():

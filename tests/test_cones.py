@@ -128,6 +128,30 @@ def test_saturated_span_basis():
     assert LatticeSolver(b).solve((0, 0, 1)) is None
 
 
+def test_extreme_description_rejects_an_entry_that_is_not_an_integer():
+    # int() would read x/2 + y >= 0 as y >= 0
+    assert extreme_description([(1, 2)], 2) == ([(-2, 1)], [(1, 0)])
+    with pytest.raises(ValueError, match=r"^inequality entry 0\.5 is not an integer$"):
+        extreme_description([(0.5, 1)], 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Cone.make([(1, 0, 0)], 2), "ray has wrong length"),
+        (lambda: Cone.make([(1, 0), (0, 0)], 2), "zero generator"),
+        (
+            lambda: C((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)).multiplicity(),
+            "multiplicity needs a simplicial cone",
+        ),
+    ],
+    ids=["wrong-length", "zero-generator", "non-simplicial-multiplicity"],
+)
+def test_invalid_input_raises_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(3, 2), Fraction(1), "1"])
 def test_make_rejects_a_non_integer_entry(bad):
     with pytest.raises(ValueError, match="integer"):

@@ -31,6 +31,7 @@ from logtoric.fans import (
     is_smooth,
     is_subdivision,
     p1_power,
+    permute_coordinates,
     product,
     refine,
     resolve,
@@ -145,6 +146,45 @@ def test_star_subdivide_errors():
         star_subdivide(P1, (0,))
     with pytest.raises(FanError, match="not a cone"):
         star_subdivide(p1_power(2), (0, 1))  # e1 and -e1 span no cone
+
+
+# (1, 1) is a ray of this unvalidated fan inside its cone (0, 2), not a ray
+# of that cone
+_HIDDEN_RAY = Fan.make(2, [(1, 0), (1, 1), (0, 1)], [(0, 2)], validate=False)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Fan.make(2, [(1, 0, 0)], [(0,)]), "ray length differs from rank"),
+        (lambda: Fan.make(2, [(0, 0)], [(0,)]), "zero ray"),
+        (lambda: crosses(Cone.make([(1, 0, 0)], 3), ORTHANT), "ambient rank mismatch"),
+        (
+            lambda: star_subdivide_at_point(ORTHANT, (-1, -1)),
+            r"point \(-1, -1\) is outside the fan support",
+        ),
+        (
+            lambda: star_subdivide_at_point(_HIDDEN_RAY, (1, 1)),
+            "new ray already present but not the center ray",
+        ),
+        (lambda: standard_fan("A^n", -1), "n >= 0 required"),
+        (lambda: standard_fan("Gm^n", -1), "n >= 0 required"),
+        (lambda: permute_coordinates(ORTHANT, [0, 0]), "not a permutation of the coordinates"),
+    ],
+    ids=[
+        "ray-length", "zero-ray", "crosses-rank", "outside-support", "present-ray",
+        "affine-negative", "torus-negative", "not-a-permutation",
+    ],
+)
+def test_invalid_input_raises_a_fan_error(call, message):
+    with pytest.raises(FanError, match=f"^{message}$"):
+        call()
+
+
+def test_maximal_cones_are_built_once_per_fan():
+    fan = p1_power(2)
+    assert fan.maximal() is fan.maximal()
+    assert fan.maximal() == tuple(fan.cone(mc) for mc in fan.maximal_cones)
 
 
 def test_crosses():
@@ -1722,6 +1762,15 @@ def test_index_set_fans_cover_each_shape():
     assert any(not is_complete(f) for f in INDEX_SET_FANS)
     assert all(_index_sets(f)[1] for f in INDEX_SET_FANS)
     assert sum(len(_index_sets(f)[1]) for f in INDEX_SET_FANS) >= 150
+
+
+@pytest.mark.parametrize("fan", KERNEL_FANS)
+def test_is_cone_on_the_kernel_matches_the_face_list(fan):
+    # every index tuple of up to three rays, sorted or not, repeats included
+    faces = set(fans_module._fan_all_cone_indices(fan)[0])
+    for k in range(4):
+        for idx in itertools.product(range(len(fan.rays)), repeat=k):
+            assert fan.is_cone(idx) == (idx in faces), idx
 
 
 @pytest.mark.parametrize("fan", INDEX_SET_FANS)

@@ -75,6 +75,40 @@ def test_primitive(vec, expected):
     assert primitive(vec) == expected
 
 
+def test_primitive_rejects_an_entry_that_is_not_an_integer():
+    # int() would truncate (2.5, 5) to the primitive (2, 5)
+    with pytest.raises(ValueError, match=r"^vector entry 2\.5 is not an integer$"):
+        primitive([2.5, 5])
+
+
+def test_solve_integer_rejects_a_target_entry_that_is_not_an_integer():
+    # the solve would divide 4.0 by the pivot 2 and return (2.0, 1.0)
+    m = IntMatrix.from_rows([[2, 0], [0, 1]])
+    assert solve_integer(m, (4, 1)) == (2, 1)
+    with pytest.raises(ValueError, match=r"^target entry 4\.0 is not an integer$"):
+        solve_integer(m, (4.0, 1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+        (lambda: IntMatrix.identity(2) @ IntMatrix.identity(3), "shape mismatch"),
+        (lambda: IntMatrix.identity(2).apply((1, 2, 3)), "shape mismatch"),
+        (lambda: det(IntMatrix.from_rows([[1, 2]])), "square matrix required"),
+        (lambda: solve_integer(IntMatrix.identity(2), (1,)), "shape mismatch"),
+        (
+            lambda: FPAbelianGroup(3, IntMatrix.from_rows([[1, 2]])),
+            "relation width must equal generator count",
+        ),
+    ],
+    ids=["ragged", "matmul", "apply", "det", "solve-integer", "relation-width"],
+)
+def test_invalid_input_raises_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_primitive_zero_rejected():
     with pytest.raises(ValueError, match="nonzero"):
         primitive((0, 0))

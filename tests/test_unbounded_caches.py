@@ -14,10 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "logtoric"
 
 ALLOWED = {
     "chow._PRESENTATIONS",
-    "cones._canonical_rays",
-    "cones._cone_dim",
-    "cones._dual_description",
-    "fans._fan_all_cone_indices",
 }
 
 
