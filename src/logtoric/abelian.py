@@ -215,12 +215,10 @@ def kernel_mod_lattice(matrix_rows, lattice_rows, ncols):
     ``lattice_rows`` (in the target).  Used for chain groups (kernels
     into quotient groups).
     """
-    if not matrix_rows:
-        return list(IntMatrix.identity(ncols).entries)
     # kernel of [M | -lattice generators]; its M-parts span the kernel
     aug = [
         tuple(row) + tuple(-l[i] for l in lattice_rows)
         for i, row in enumerate(matrix_rows)
     ]
-    kernel = kernel_basis(IntMatrix.from_rows(aug))
+    kernel = kernel_basis(IntMatrix.from_rows(aug, ncols + len(lattice_rows)))
     return list(HermiteBasis(k[:ncols] for k in kernel).rows)

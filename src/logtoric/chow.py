@@ -84,12 +84,7 @@ def presentation_data(fan: Fan, q: int):
     if q >= 1:
         for tau in fan.cone_indices_of_dim(q - 1):
             tau_set = set(tau)
-            if tau:
-                orth = kernel_basis(
-                    IntMatrix.from_rows([fan.rays[i] for i in tau])
-                )
-            else:
-                orth = IntMatrix.identity(fan.rank).entries
+            orth = kernel_basis(IntMatrix.from_rows([fan.rays[i] for i in tau], fan.rank))
             # cones tau + rho of dimension q
             star = []
             for sigma in gens:

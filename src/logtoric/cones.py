@@ -206,8 +206,6 @@ class Cone:
 
     def multiplicity(self) -> int:
         """Index of the subgroup spanned by the rays in its saturation (simplicial only)."""
-        if not self.rays:
-            return 1
         if not self.is_simplicial():
             raise ValueError("multiplicity needs a simplicial cone")
         d, _, _ = smith_normal_form(IntMatrix.from_rows(self.rays))
@@ -309,16 +307,10 @@ def _meet(a: Cone, b: Cone) -> Cone:
 
 @lru_cache(maxsize=4096)
 def _cone_dim(cone: Cone) -> int:
-    if not cone.rays:
-        return 0
     return rank(IntMatrix.from_rows(cone.rays))
 
 
 def saturated_span_basis(vectors, ambient):
     """Basis rows of ``span(vectors) ∩ Z^ambient`` (a saturated sublattice)."""
-    if not vectors:
-        return []
-    normals = kernel_basis(IntMatrix.from_rows(list(vectors)))
-    if not normals:
-        return list(IntMatrix.identity(ambient).entries)
-    return [tuple(b) for b in kernel_basis(IntMatrix.from_rows(normals))]
+    normals = kernel_basis(IntMatrix.from_rows(vectors, ambient))
+    return kernel_basis(IntMatrix.from_rows(normals, ambient))

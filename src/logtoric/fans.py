@@ -12,8 +12,8 @@ Smooth kernel: when every maximal cone lists ``rank`` rays with a
 unimodular ray matrix (every blow-up node fan does), the fan keeps one
 integer inverse per maximal cone (``_unimodular_inverses``; the bounded
 ``_dual_basis`` memo inverts each distinct cone once, however many fans
-share it, reading the inverse off the reduced Hermite form of ``[A |
-I]``).  Membership is then the sign of the coordinates under that
+share it, reading the inverse off the transform of its Hermite form).
+Membership is then the sign of the coordinates under that
 inverse, faces are the subsets of the maximal cones, subfans on a ray
 subset are the maximal meets of the maximal cones with it, and a star
 subdivision at a face is the combinatorial split ``sigma - {i} + {v}``.
@@ -63,17 +63,18 @@ not its output, and a coordinate permutation of a fan is a fan.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from math import lcm
+from math import lcm, prod
 from operator import and_, index, mul
 
 from .cones import Cone, _lattice_point, dot, extreme_description, saturated_span_basis
 from .intlinalg import (
     IntMatrix,
-    _echelon,
     det,
+    hermite_normal_form,
     kernel_basis,
     primitive,
     smith_normal_form,
@@ -132,7 +133,10 @@ class Fan:
         indices = tuple(indices)
         if not indices:
             return Cone.zero(self.rank)
-        return Cone.make([self.rays[i] for i in indices], self.rank)
+        try:
+            return Cone.make([self.rays[i] for i in indices], self.rank)
+        except ValueError as exc:  # a line, say: name the cone
+            raise FanError(f"cone {indices}: {exc}") from None
 
     def maximal(self) -> tuple:
         """The maximal cones as ``Cone``s, in ``maximal_cones`` order,
@@ -184,10 +188,9 @@ class Fan:
             raise FanError("cone index out of range")
         if _certified_complete(self):
             return
-        cones = self.maximal()
+        cones = self.maximal()  # Fan.cone raises on a cone holding a line
         for c, idx in zip(cones, self.maximal_cones):
-            # strong convexity is checked inside Cone.make; also insist the
-            # listed rays are exactly the extreme rays
+            # a Cone keeps its extreme rays only: the listed rays must be those
             if set(c.rays) != {self.rays[i] for i in idx}:
                 raise FanError(f"cone {idx} lists a non-extreme generator")
         meets = []
@@ -297,16 +300,16 @@ def _dual_basis(rows):
     None unless |det| = 1.  The fans of one blow-up tower share most of
     their cones, so each distinct cone is inverted once.
 
-    The reduced Hermite form of ``[A | I]`` is ``[H | U]`` with ``H = U
-    A``.  ``H`` is upper triangular with positive pivots, and its
-    diagonal multiplies to |det A|; so A is unimodular exactly when every
-    pivot is 1, and then the reduced ``H`` is ``I`` and ``U = A^-1``.
+    ``hermite_normal_form`` gives ``H = U A``, ``H`` upper triangular
+    with positive pivots multiplying to |det A|.  So A is unimodular
+    exactly when ``H`` is the identity, and then ``U = A^-1``.  The rows
+    are a fan's validated rays, so the matrix is built without checks.
     """
     n = len(rows)
-    h = [list(r) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)]
-    if len(_echelon(h, n)[0]) < n or any(h[i][i] != 1 for i in range(n)):
+    h, u = hermite_normal_form(IntMatrix(n, n, rows))
+    if h != IntMatrix.identity(n):
         return None
-    return tuple(zip(*(r[n:] for r in h)))
+    return tuple(zip(*u.entries))
 
 
 def _certified_complete(fan: Fan) -> bool:
@@ -769,6 +772,8 @@ def _parallelepiped(cone: Cone):
     diag = d_mat.diagonal()
     if len(diag) < len(cone.rays) or 0 in diag:
         raise FanError("rays not independent")
+    if prod(diag) > sys.maxsize:  # more points than any run could list
+        raise FanError(f"cone multiplicity {prod(diag)} exceeds {sys.maxsize}")
     denom = lcm(*diag)
     # column i of V steps by denom/d_i
     scaled = [[x * (denom // d) for x, d in zip(row, diag)] for row in v.entries]

@@ -8,9 +8,9 @@ width integers on very ordinary inputs.
 Matrices are immutable tuples of tuples of ints, row major.  A matrix
 ``m`` is read as the map ``Z^cols -> Z^rows`` sending ``x`` to ``m @ x``.
 
-Every Hermite form runs one echelon routine, ``_echelon``: with the
-transform as trailing entries of the rows in ``hermite_normal_form``,
-without it in ``HermiteBasis`` (the reduction basis), ``det`` and ``rank``.
+Every Hermite form runs one echelon engine, ``_echelon``, on sparse rows
+(dicts column -> nonzero entry); the transform of ``hermite_normal_form``
+and ``LatticeSolver`` rides along as trailing keys ``ncols + i``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ class IntMatrix:
     entries: tuple  # tuple of row tuples
 
     @staticmethod
-    def from_rows(rows_list) -> "IntMatrix":
-        """The matrix with the given rows; an entry that is not an integer
-        (a float, a string) raises ``ValueError``, it is never rounded."""
+    def from_rows(rows_list, cols=0) -> "IntMatrix":
+        """The matrix with these rows, ``cols`` wide if there are none; an
+        entry that is not an integer (a float, a string) raises ``ValueError``, unrounded."""
         rows_list = [int_entries(r, "matrix entry") for r in rows_list]
         nrows = len(rows_list)
-        ncols = len(rows_list[0]) if rows_list else 0
+        ncols = len(rows_list[0]) if rows_list else cols
         if any(len(r) != ncols for r in rows_list):
             raise ValueError("ragged rows")
         return IntMatrix(nrows, ncols, tuple(rows_list))
@@ -95,23 +95,33 @@ def primitive(vec):
     return vec if g == 1 else tuple(x // g for x in vec)
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
+def _sparse(row) -> dict:
+    """A dense row as a dict column -> nonzero entry."""
+    return {j: x for j, x in enumerate(row) if x}
 
 
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
+def _dense(row, lo, hi) -> tuple:
+    """Entries ``lo .. hi - 1`` of a sparse row, as a tuple."""
+    out = [0] * (hi - lo)
+    for j, x in row.items():
+        if lo <= j < hi:
+            out[j - lo] = x
+    return tuple(out)
 
 
-def _add_row(m, dst, src, c):
-    if c:
-        m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
+def _add_multiple(dst, src, c):
+    """``dst += c * src`` on sparse rows, ``c`` nonzero."""
+    for j, x in src.items():
+        if y := dst.get(j, 0) + c * x:
+            dst[j] = y
+        else:
+            del dst[j]
 
 
 def _echelon(h, ncols):
-    """Bring the rows ``h`` (lists, changed in place) to row Hermite
-    normal form in their first ``ncols`` entries; any further entries of a
-    row (a transform, say) take part in every row operation.
+    """Bring the sparse rows ``h`` (dicts column -> nonzero entry, changed
+    in place) to row Hermite normal form in the columns below ``ncols``; a
+    larger key (a transform, say) takes part in every row operation.
 
     The form is row echelon with positive pivots and the entries above
     each pivot reduced to ``0 <= entry < pivot``.  Returns the pivot
@@ -128,28 +138,30 @@ def _echelon(h, ncols):
         # move a nonzero entry of least magnitude up, then gcd out the
         # column below it; a nonzero remainder is smaller, so this ends
         while True:
-            nz = [i for i in range(t, nrows) if h[i][col] != 0]
+            nz = [i for i in range(t, nrows) if col in h[i]]
             if not nz:
                 break
             i_min = min(nz, key=lambda i: abs(h[i][col]))
             if i_min != t:
-                _swap_rows(h, t, i_min)
+                h[t], h[i_min] = h[i_min], h[t]
                 sign = -sign
             if len(nz) == 1:
                 break
             p = h[t][col]
             for i in range(t + 1, nrows):
-                if h[i][col] != 0:
-                    _add_row(h, i, t, -(h[i][col] // p))
+                if col in h[i]:
+                    _add_multiple(h[i], h[t], -(h[i][col] // p))
         if not nz:  # nothing at or below row t: no pivot in this column
             continue
         if h[t][col] < 0:
-            _negate_row(h, t)
+            h[t] = {j: -x for j, x in h[t].items()}
             sign = -sign
         p = h[t][col]
         for i in range(t):
             # floor division: leaves 0 <= remainder < p
-            _add_row(h, i, t, -(h[i][col] // p))
+            c = h[i].get(col, 0) // p
+            if c:
+                _add_multiple(h[i], h[t], -c)
         pivots.append(col)
     return pivots, sign
 
@@ -159,14 +171,14 @@ def hermite_normal_form(m: IntMatrix):
 
     Returns ``(H, U)`` with ``H = U @ m``, ``U`` unimodular, ``H`` in
     row echelon form with positive pivots and entries above each pivot
-    reduced to ``0 <= entry < pivot``.  ``U`` is carried as the trailing
-    block of the rows ``[m | I]``.
+    reduced to ``0 <= entry < pivot``.  Row ``i`` carries row ``i`` of
+    ``U`` as its keys ``m.cols + i``.
     """
-    k = m.cols
-    rows = [list(r) + list(e) for r, e in zip(m.entries, IntMatrix.identity(m.rows).entries)]
+    k, n = m.cols, m.rows
+    rows = [_sparse(r) | {k + i: 1} for i, r in enumerate(m.entries)]
     _echelon(rows, k)
-    H = IntMatrix.from_rows([r[:k] for r in rows]) if rows else IntMatrix.zero(0, k)
-    U = IntMatrix.from_rows([r[k:] for r in rows]) if rows else IntMatrix.zero(0, 0)
+    H = IntMatrix(n, k, tuple(_dense(r, 0, k) for r in rows))
+    U = IntMatrix(n, n, tuple(_dense(r, k, k + n) for r in rows))
     return H, U
 
 
@@ -176,26 +188,31 @@ class HermiteBasis:
 
     ``reduce`` gives the canonical representative of a vector modulo the
     lattice the rows span (Cohen, §2.4.2): each pivot entry is brought
-    into ``0 <= entry < pivot``, in row order.
+    into ``0 <= entry < pivot``, in row order.  Ragged rows raise
+    ``ValueError``.
     """
 
-    __slots__ = ("rows", "_pivots")
+    __slots__ = ("rows", "_pivot_rows")
 
     def __init__(self, rows):
-        h = [list(r) for r in rows]
-        self._pivots = _echelon(h, len(h[0]) if h else 0)[0]
-        self.rows = tuple(tuple(r) for r in h[: len(self._pivots)])
+        rows = [tuple(r) for r in rows]
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        h = list(map(_sparse, rows))
+        self._pivot_rows = tuple(zip(_echelon(h, width)[0], h))
+        self.rows = tuple(_dense(r, 0, width) for _, r in self._pivot_rows)
 
     def __len__(self):
         return len(self.rows)
 
     def reduce(self, vec) -> tuple:
         out = list(vec)
-        for lead, row in zip(self._pivots, self.rows):
+        for lead, row in self._pivot_rows:
             c = out[lead] // row[lead]
             if c:
-                for j in range(lead, len(out)):
-                    out[j] -= c * row[j]
+                for j, x in row.items():
+                    out[j] -= c * x
         return tuple(out)
 
 
@@ -225,8 +242,8 @@ def _diagonalize(d, u, v, nr, nc, start):
             break
         bi, bj = best
         if bi != t:
-            _swap_rows(d, t, bi)
-            _swap_rows(u, t, bi)
+            d[t], d[bi] = d[bi], d[t]
+            u[t], u[bi] = u[bi], u[t]
         if bj != t:
             _swap_cols(d, t, bj)
             _swap_cols(v, t, bj)
@@ -238,11 +255,11 @@ def _diagonalize(d, u, v, nr, nc, start):
             for i in range(t + 1, nr):
                 if d[i][t] != 0:
                     q = d[i][t] // p
-                    _add_row(d, i, t, -q)
-                    _add_row(u, i, t, -q)
+                    d[i] = [a - q * b for a, b in zip(d[i], d[t])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[t])]
                     if d[i][t] != 0:
-                        _swap_rows(d, t, i)
-                        _swap_rows(u, t, i)
+                        d[t], d[i] = d[i], d[t]
+                        u[t], u[i] = u[i], u[t]
                         dirty = True
                         p = d[t][t]
             for j in range(t + 1, nc):
@@ -258,8 +275,8 @@ def _diagonalize(d, u, v, nr, nc, start):
             if not dirty:
                 break
         if d[t][t] < 0:
-            _negate_row(d, t)
-            _negate_row(u, t)
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
 
 
@@ -293,22 +310,18 @@ def smith_normal_form(m: IntMatrix):
         _add_col(v, violation, violation + 1, 1)
         _diagonalize(d, u, v, nr, nc, violation)
 
-    D = IntMatrix.from_rows(d) if d else IntMatrix.zero(0, nc)
-    U = IntMatrix.from_rows(u) if u else IntMatrix.zero(0, 0)
-    V = IntMatrix.from_rows(v) if v else IntMatrix.zero(0, 0)
-    return D, U, V
+    return IntMatrix.from_rows(d, nc), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
 def det(m: IntMatrix) -> int:
     """Determinant of a square integer matrix, exactly: the product of the
-    Hermite pivots, signed by the transform."""
+    Hermite diagonal (a zero on it when the rank is short), signed by the
+    transform."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    h = [list(r) for r in m.entries]
-    pivots, sign = _echelon(h, m.cols)
-    if len(pivots) < m.rows:
-        return 0
-    return sign * prod(h[t][t] for t in range(m.rows))
+    h = list(map(_sparse, m.entries))
+    sign = _echelon(h, m.cols)[1]
+    return sign * prod(h[t].get(t, 0) for t in range(m.rows))
 
 
 def rank(m: IntMatrix) -> int:
@@ -328,16 +341,14 @@ class LatticeSolver:
 
     def __init__(self, columns, lattice=()):
         self._ncols = len(columns)
-        h, u = hermite_normal_form(IntMatrix.from_rows(list(columns) + list(lattice)))
-        self._width = h.cols if h.rows else None  # None: no stacked vectors
-        self._pivots = []  # (lead, echelon row, U row cut to the columns)
-        self._kernel = []
-        for row, urow in zip(h.entries, u.entries):
-            lead = next((j for j, x in enumerate(row) if x != 0), None)
-            if lead is None:
-                self._kernel.append(urow)
-            else:
-                self._pivots.append((lead, row, urow[: self._ncols]))
+        m = IntMatrix.from_rows(list(columns) + list(lattice))
+        k = m.cols
+        self._width = k if m.rows else None  # None: no stacked vectors
+        rows = [_sparse(r) | {k + i: 1} for i, r in enumerate(m.entries)]
+        pivots, _ = _echelon(rows, k)
+        # each pivot row whole: its echelon row below key k, its U row after
+        self._k, self._pivots = k, list(zip(pivots, rows))
+        self._kernel = [_dense(row, k, k + m.rows) for row in rows[len(pivots) :]]
 
     def solve(self, target):
         """Coefficients on the columns, or None if the target is no
@@ -346,15 +357,17 @@ class LatticeSolver:
             raise ValueError("shape mismatch")
         residue = list(int_entries(target, "target entry"))
         x = [0] * self._ncols
-        for lead, row, urow in self._pivots:
+        k, cut = self._k, self._k + self._ncols  # U's keys on the columns
+        for lead, row in self._pivots:
             c, rem = divmod(residue[lead], row[lead])
             if rem:
                 return None
             if c:
-                for j in range(lead, len(residue)):
-                    residue[j] -= c * row[j]
-                for j, v in enumerate(urow):
-                    x[j] += c * v
+                for j, v in row.items():
+                    if j < k:
+                        residue[j] -= c * v
+                    elif j < cut:
+                        x[j - k] += c * v
         if any(residue):
             return None
         return tuple(x)
@@ -399,7 +412,7 @@ class FPAbelianGroup:
     @classmethod
     def from_rows(cls, ngens: int, rows) -> "FPAbelianGroup":
         """Z^ngens modulo the span of ``rows``, which may be empty."""
-        return cls(ngens, IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, ngens))
+        return cls(ngens, IntMatrix.from_rows(rows, ngens))
 
     @cached_property
     def _snf_diagonal(self):

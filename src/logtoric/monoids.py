@@ -88,12 +88,9 @@ class ToricMonoid:
         out = spanning_vectors(self.lines, ())
         if not self.cone_rays:
             return tuple(sorted(out))
-        if not self.lines:
-            out.extend(_pointed_hilbert_basis(self.cone_rays, self.rank))
-            return tuple(sorted(out))
         # split off the unit directions: project to the quotient lattice,
         # compute there, lift through the unimodular section
-        m = IntMatrix.from_rows(self.lines).transpose()
+        m = IntMatrix.from_rows(self.lines, self.rank).transpose()
         d_mat, u, _ = smith_normal_form(m)
         k = len(self.lines)
         proj_rows = u.entries[k:]

@@ -167,6 +167,41 @@ def test_an_input_file_that_is_not_utf8_is_an_input_error(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
+    [["fan-check", "{fan}"], ["resolve", "{fan}"], ["chow", "{fan}"],
+     ["realize", "{fan}", "--base", "Z"], ["refine", "{fan}", "{fan}", "--eta", "0,1"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_cone_that_is_not_strongly_convex_is_an_input_error(tmp_path, capsys, argv):
+    # the one maximal cone holds the line through (1, 0) and (-1, 0)
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(
+        {"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "maximal_cones": [[0, 1, 2]]}
+    ))
+    code = main([a.replace("{fan}", str(path)) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"input error: {path}: cone (0, 1, 2): cone is not strongly convex\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["resolve", "{fan}"], ["realize", "{fan}", "--base", "Z"]], ids=lambda argv: argv[0]
+)
+def test_a_multiplicity_past_sys_maxsize_is_a_domain_error(tmp_path, capsys, argv):
+    # listing 10**30 parallelepiped points cannot finish
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"rank": 2, "rays": [[1, 10**30], [1, 0]], "maximal_cones": [[0, 1]]}
+    ))
+    code = main([a.replace("{fan}", str(path)) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        f"error: FanError: cone multiplicity {10**30} exceeds {sys.maxsize}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["fan-check", "{fan}"], ["chow", "{fan}"],
      ["logchow", "--q", "1", "--r", "0", "--nmax", "1", "--depth", "0"]],
 )
@@ -318,9 +353,13 @@ def _logchow_golden_rows():
 
 
 @pytest.mark.parametrize(
-    "row", _logchow_golden_rows(), ids=lambda row: " ".join(row["argv"][1:])
+    "row",
+    _logchow_golden_rows(),
+    ids=lambda row: " ".join([*row["argv"][1:], *map("=".join, row.get("env", {}).items())]),
 )
-def test_logchow_bytes_golden(capsys, row):
+def test_logchow_bytes_golden(capsys, monkeypatch, row):
+    for name, value in row.get("env", {}).items():
+        monkeypatch.setenv(name, value)
     code, out = run(capsys, *row["argv"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == row["sha256"]

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,7 @@ def test_kernel_and_solve():
 def test_kernel_and_solve_on_zero_row_matrix():
     # Z^3 -> Z^0: everything is in the kernel, and 0 has the zero solution
     m = IntMatrix.zero(0, 3)
+    assert IntMatrix.from_rows([], 3) == m  # a matrix with no rows keeps its width
     assert m.transpose() == IntMatrix.zero(3, 0)
     assert kernel_basis(m) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert solve_integer(m, ()) == (0, 0, 0)
@@ -441,3 +443,204 @@ def test_lattice_solver_against_sympy(problem):
         if stacked:
             m = IntMatrix.from_rows(stacked).transpose()
         assert x == solve_integer(m, target)[: len(cols)]
+
+
+# -- the dense echelon the sparse engine replaced, kept as its oracle -------
+
+
+def _dense_swap_rows(m, i, j):
+    m[i], m[j] = m[j], m[i]
+
+
+def _dense_negate_row(m, i):
+    m[i] = [-x for x in m[i]]
+
+
+def _dense_add_row(m, dst, src, c):
+    if c:
+        m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
+
+
+def _dense_echelon(h, ncols):
+    """The echelon on dense list rows, changed in place, as it stood before
+    the sparse engine: the same pivot rule and the same order of row
+    operations.  Returns the pivot columns and the sign of the operations."""
+    nrows = len(h)
+    pivots = []
+    sign = 1
+    for col in range(ncols):
+        t = len(pivots)
+        if t == nrows:
+            break
+        while True:
+            nz = [i for i in range(t, nrows) if h[i][col] != 0]
+            if not nz:
+                break
+            i_min = min(nz, key=lambda i: abs(h[i][col]))
+            if i_min != t:
+                _dense_swap_rows(h, t, i_min)
+                sign = -sign
+            if len(nz) == 1:
+                break
+            p = h[t][col]
+            for i in range(t + 1, nrows):
+                if h[i][col] != 0:
+                    _dense_add_row(h, i, t, -(h[i][col] // p))
+        if not nz:
+            continue
+        if h[t][col] < 0:
+            _dense_negate_row(h, t)
+            sign = -sign
+        p = h[t][col]
+        for i in range(t):
+            _dense_add_row(h, i, t, -(h[i][col] // p))
+        pivots.append(col)
+    return pivots, sign
+
+
+def _dense_hnf(rows, ncols):
+    """``(H, U, pivots, sign)`` from the dense echelon of ``[rows | I]``."""
+    n = len(rows)
+    h = [list(r) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)]
+    pivots, sign = _dense_echelon(h, ncols)
+    return [tuple(r[:ncols]) for r in h], [tuple(r[ncols:]) for r in h], pivots, sign
+
+
+class _DenseLatticeSolver:
+    """``LatticeSolver`` on the dense echelon, as it stood before."""
+
+    def __init__(self, columns, lattice=()):
+        stacked = list(columns) + list(lattice)
+        width = len(stacked[0]) if stacked else 0
+        h, u, _, _ = _dense_hnf(stacked, width)
+        self.ncols = len(columns)
+        self.pivots, self.kernel = [], []
+        for row, urow in zip(h, u):
+            lead = next((j for j, x in enumerate(row) if x != 0), None)
+            if lead is None:
+                self.kernel.append(urow)
+            else:
+                self.pivots.append((lead, row, urow[: self.ncols]))
+
+    def solve(self, target):
+        residue = list(target)
+        x = [0] * self.ncols
+        for lead, row, urow in self.pivots:
+            c, rem = divmod(residue[lead], row[lead])
+            if rem:
+                return None
+            for j in range(lead, len(residue)):
+                residue[j] -= c * row[j]
+            for j, v in enumerate(urow):
+                x[j] += c * v
+        return None if any(residue) else tuple(x)
+
+
+def _dense_det(rows):
+    h = [list(r) for r in rows]
+    pivots, sign = _dense_echelon(h, len(rows))
+    if len(pivots) < len(rows):
+        return 0
+    return sign * prod(h[t][t] for t in range(len(rows)))
+
+
+def _dense_dual_basis(rows):
+    n = len(rows)
+    h, u, pivots, _ = _dense_hnf(rows, n)
+    if len(pivots) < n or any(h[i][i] != 1 for i in range(n)):
+        return None
+    return tuple(zip(*u))
+
+
+def _oracle_matrices(rng, count):
+    """Seeded matrices of 0-8 rows and 1-8 columns, entries -6..6 at a
+    random density; in turn all-zero, with a duplicate row, and with a row
+    that is a combination of two others."""
+    out = []
+    for k in range(count):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        density = rng.random()
+        rows = [
+            [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if k % 4 == 1:
+            rows = [[0] * ncols for _ in rows]
+        elif k % 4 == 2 and nrows >= 2:
+            rows[-1] = list(rows[rng.randrange(nrows - 1)])
+        elif k % 4 == 3 and nrows >= 3:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        out.append((rows, ncols))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_echelon_replays_the_dense_echelon(seed):
+    from logtoric.intlinalg import _dense, _echelon, _sparse
+
+    cases = _oracle_matrices(random.Random(3100 + seed), 600) + [([], 3), ([], 1)]
+    for rows, ncols in cases:
+        want_h, want_u, want_pivots, want_sign = _dense_hnf(rows, ncols)
+        n = len(rows)
+        h = [_sparse(r) | {ncols + i: 1} for i, r in enumerate(rows)]
+        assert _echelon(h, ncols) == (want_pivots, want_sign), rows
+        assert [_dense(r, 0, ncols) for r in h] == want_h
+        assert [_dense(r, ncols, ncols + n) for r in h] == want_u
+        m = IntMatrix(n, ncols, tuple(map(tuple, rows)))
+        got_h, got_u = hermite_normal_form(m)
+        assert (list(got_h.entries), list(got_u.entries)) == (want_h, want_u)
+        assert (got_h.rows, got_h.cols, got_u.rows, got_u.cols) == (n, ncols, n, n)
+        assert kernel_basis(m) == _DenseLatticeSolver(m.transpose().entries).kernel
+        if n == ncols:
+            assert det(m) == _dense_det(rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_solver_replays_the_dense_solver(seed):
+    rng = random.Random(3200 + seed)
+    solved = unsolved = 0
+    for rows, ncols in _oracle_matrices(rng, 400):
+        split = rng.randint(0, len(rows))
+        columns, lattice = rows[:split], rows[split:]
+        solver, dense = LatticeSolver(columns, lattice), _DenseLatticeSolver(columns, lattice)
+        assert solver.kernel() == dense.kernel
+        for _ in range(3):
+            if rows and rng.random() < 0.6:
+                coeffs = [rng.randint(-3, 3) for _ in rows]
+                target = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+            else:
+                target = [rng.randint(-6, 6) for _ in range(ncols)]
+            x = solver.solve(target)
+            assert x == dense.solve(target)
+            solved += x is not None
+            unsolved += x is None
+    assert solved > 300 and unsolved > 300
+
+
+def test_dual_basis_replays_the_dense_echelon():
+    from logtoric.fans import _dual_basis
+
+    rng = random.Random(3300)
+    unimodular = 0
+    for _ in range(800):
+        n = rng.randint(1, 4)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, 6)):  # unimodular after row additions
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                rows[i] = [a + rng.randint(-2, 2) * b for a, b in zip(rows[i], rows[j])]
+        if rng.random() < 0.4:
+            rows[rng.randrange(n)] = [rng.randint(-6, 6) for _ in range(n)]
+        rows = tuple(map(tuple, rows))
+        got = _dual_basis.__wrapped__(rows)
+        assert got == _dense_dual_basis(rows), rows
+        unimodular += got is not None
+    assert 200 < unimodular < 750
+
+
+def test_hermite_basis_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged rows"):
+        HermiteBasis([(1, 2), (3, 4, 5)])
+    with pytest.raises(ValueError, match="ragged rows"):
+        HermiteBasis([(1, 2, 3), (3, 4)])
